@@ -29,12 +29,24 @@ def _load_rule(args) -> Rule:
 
 
 def parse_rule_spec(text: str) -> Rule:
-    """Parse either a bare digit string or a `d=.. m=.. rule=..` header."""
+    """Parse a `d=<d> m=<m> rule=<digits>` rule file; any flaw is a RuleError."""
     text = text.strip()
-    if "=" in text:
-        fields = dict(part.split("=", 1) for part in text.split())
-        return parse_rule(fields["rule"], int(fields["d"]), int(fields["m"]))
-    raise RuleError("rule file must use the `d=<d> m=<m> rule=<digits>` form")
+    if "=" not in text:
+        raise RuleError("rule file must use the `d=<d> m=<m> rule=<digits>` form")
+    fields = {}
+    for token in text.split():
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise RuleError(f"rule file token {token!r} is not of the form key=value")
+        fields[key] = value
+    missing = [key for key in ("d", "m", "rule") if key not in fields]
+    if missing:
+        raise RuleError("rule file lacks " + ", ".join(f"{k}=" for k in missing))
+    try:
+        d, m = int(fields["d"]), int(fields["m"])
+    except ValueError as exc:
+        raise RuleError(f"rule file d= and m= must be integers ({exc})") from None
+    return parse_rule(fields["rule"], d, m)
 
 
 def _add_rule_args(p: argparse.ArgumentParser, need_dm: bool = True) -> None:
@@ -168,6 +180,8 @@ def _cmd_spacetime(args) -> int:
 
 
 def _cmd_prng(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     rule = _load_rule(args)
     if args.scheme == "tri":
         gen = prng.tri_window(rule, args.width)
@@ -285,3 +299,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -13,9 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-import networkx as nx
-
-from .rules import Rule
+from .rules import Rule, self_replicating_rmts
 
 
 def parse_configuration(text: str, d: int) -> tuple[int, ...]:
@@ -99,11 +97,6 @@ class PrimaryRmtSet:
         return tuple((r // self.d ** rr) % self.d for r in self.rmts)
 
 
-def _canonical_cycle(rmts: Sequence[int]) -> tuple[int, ...]:
-    k = min(range(len(rmts)), key=lambda i: rmts[i])
-    return tuple(rmts[k:]) + tuple(rmts[:k])
-
-
 class DeBruijnGraph:
     """B(m-1, d) with RMT-labeled edges, optionally restricted to a subset."""
 
@@ -116,33 +109,45 @@ class DeBruijnGraph:
     def edge_ends(self, rmt: int) -> tuple[int, int]:
         return rmt // self.d, rmt % self.num_nodes
 
-    def _graph(self, rmts: Iterable[int]) -> nx.MultiDiGraph:
-        g = nx.MultiDiGraph()
-        g.add_nodes_from(range(self.num_nodes))
-        for r in rmts:
-            tail, head = self.edge_ends(r)
-            g.add_edge(tail, head, rmt=r)
-        return g
-
     def cycles(self, rmts: Iterable[int], max_len: int | None = None) -> list[tuple[int, ...]]:
         """Elementary cycles of the subgraph with edge set ``rmts``.
 
-        Returns RMT cycles in canonical rotation, ordered by length then
-        lexicographically.  With parallel edges absent (always true here,
-        every RMT is a distinct node pair), node cycles map 1:1 to RMT
-        cycles.
+        Returns RMT cycles in canonical rotation (smallest RMT first),
+        ordered by length then lexicographically; ``max_len`` caps the
+        length.  This is the one cycle search of the package.  Each cycle
+        is found once, by a depth-first search from its smallest node that
+        never enters a smaller node (the canonical start of Johnson 1975).
+        RMTs order like their tail nodes, so that walk already lists the
+        cycle in canonical rotation; and no two RMTs share both ends, so
+        node cycles and RMT cycles correspond one to one.  The search keeps
+        an explicit stack, so unbounded searches on large graphs do not
+        depend on the recursion limit.
         """
-        g = self._graph(rmts)
-        edge_lookup: dict[tuple[int, int], int] = {}
-        for tail, head, data in g.edges(data=True):
-            edge_lookup[(tail, head)] = data["rmt"]
+        if max_len is not None and max_len < 1:
+            raise ValueError(f"cycle length bound must be at least 1, got {max_len}")
+        succ: dict[int, list[tuple[int, int]]] = {}
+        for r in rmts:
+            tail, head = self.edge_ends(r)
+            succ.setdefault(tail, []).append((head, r))
         out = []
-        for nodes in nx.simple_cycles(g, length_bound=max_len):
-            cycle = []
-            for i, tail in enumerate(nodes):
-                head = nodes[(i + 1) % len(nodes)]
-                cycle.append(edge_lookup[(tail, head)])
-            out.append(_canonical_cycle(cycle))
+        for start in sorted(succ):
+            path, on_path = [], {start}  # RMTs walked, nodes on the walk
+            stack = [(start, iter(succ[start]))]
+            while stack:
+                for head, r in stack[-1][1]:
+                    if head == start:
+                        out.append(tuple(path) + (r,))
+                    elif (head > start and head not in on_path and head in succ
+                          and (max_len is None or len(path) + 1 < max_len)):
+                        path.append(r)
+                        on_path.add(head)
+                        stack.append((head, iter(succ[head])))
+                        break
+                else:
+                    node, _ = stack.pop()
+                    on_path.discard(node)
+                    if path:
+                        path.pop()
         out.sort(key=lambda c: (len(c), c))
         return out
 
@@ -160,14 +165,7 @@ def primary_rmt_sets(d: int, m: int, max_card: int) -> list[PrimaryRmtSet]:
 
 def quiescent_states(rule: Rule) -> set[int]:
     """States s with R(s, ..., s) = s."""
-    out = set()
-    for s in range(rule.d):
-        r = 0
-        for _ in range(rule.m):
-            r = r * rule.d + s
-        if rule.table[r] == s:
-            out.add(s)
-    return out
+    return {s for s in range(rule.d) if rule.table[rule.homogeneous_rmt(s)] == s}
 
 
 def fixed_point_attractors(
@@ -180,11 +178,9 @@ def fixed_point_attractors(
     subgraphs of high-state rules hold astronomically many cycles).
     """
     graph = DeBruijnGraph(rule.d, rule.m)
-    selfrep = [r for r in range(rule.num_rmts)
-               if rule.table[r] == rule.middle_digit(r)]
     return [
         (PrimaryRmtSet(rmts=c, d=rule.d, m=rule.m), len(c))
-        for c in graph.cycles(selfrep, max_len=max_len)
+        for c in graph.cycles(self_replicating_rmts(rule), max_len=max_len)
     ]
 
 
@@ -212,9 +208,7 @@ def trivial_reachability(rule: Rule, max_len: int | None = None) -> Reachability
     graph = DeBruijnGraph(rule.d, rule.m)
     witnesses = []
     for s in range(rule.d):
-        own_loop = 0
-        for _ in range(rule.m):
-            own_loop = own_loop * rule.d + s
+        own_loop = rule.homogeneous_rmt(s)
         edges = [r for r in range(rule.num_rmts) if rule.table[r] == s]
         for cycle in graph.cycles(edges, max_len=max_len):
             if cycle == (own_loop,):

@@ -83,6 +83,10 @@ class Rule:
         """State of the cell being updated within neighborhood ``rmt``."""
         return (rmt // self.d ** self.rr) % self.d
 
+    def homogeneous_rmt(self, s: int) -> int:
+        """The RMT of the neighborhood whose m cells all hold state ``s``."""
+        return s * (self.d ** self.m - 1) // (self.d - 1)
+
     def sibling_set(self, j: int) -> tuple[int, ...]:
         """Sibl_j: the d RMTs sharing the same leftmost m-1 digits."""
         return tuple(self.d * j + t for t in range(self.d))

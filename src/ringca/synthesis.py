@@ -11,7 +11,7 @@ assembles 10-state rules primary-set by primary-set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from .debruijn import (fixed_point_attractors, quiescent_states,
                        trivial_reachability)
@@ -117,25 +117,16 @@ def strategy_iii_rules(d: int):
     for c in perms:
         yield _rule_from_set_values([c[i // d] for i in range(d * d)], d)
     # rows all-distinct: each row an independent permutation
-    for rows in _product_perms(perms, d):
+    for rows in product(perms, repeat=d):
         yield _rule_from_set_values(
             [rows[i // d][i % d] for i in range(d * d)], d)
     # columns constant
     for c in perms:
         yield _rule_from_set_values([c[i % d] for i in range(d * d)], d)
     # columns all-distinct
-    for cols in _product_perms(perms, d):
+    for cols in product(perms, repeat=d):
         yield _rule_from_set_values(
             [cols[i % d][i // d] for i in range(d * d)], d)
-
-
-def _product_perms(perms, count):
-    if count == 0:
-        yield ()
-        return
-    for head in perms:
-        for rest in _product_perms(perms, count - 1):
-            yield (head,) + rest
 
 
 def _strategy_iii(rng: Lcg, d: int) -> Rule:
@@ -234,11 +225,14 @@ def verify_rule(rule: Rule, max_len: int | None = 4) -> bool:
     """Accept a PRNG candidate: no periodic fixed point and no non-trivial
     predecessor of any trivial configuration, among cycles up to ``max_len``.
 
-    The cap mirrors the staged cardinality limit of the synthesis.  It is
-    also a hard necessity: in a rule whose sibling sets are permutations,
-    every per-value subgraph and the self-replicating subgraph have one
-    outgoing edge per node, so each contains *some* cycle; only the short
-    ones are controllable.
+    This is the one bad-cycle test on finished rules; it runs the package's
+    one cycle search, :meth:`DeBruijnGraph.cycles`, on each per-value
+    subgraph and on the self-replicating subgraph.  The cap mirrors the
+    staged cardinality limit of the synthesis.  It is also a hard
+    necessity: in a rule whose sibling sets are permutations, each of
+    those subgraphs has one outgoing edge per node, so each contains
+    *some* cycle, of any length up to d^(m-1); only the short ones are
+    controllable.
     """
     verdict = trivial_reachability(rule, max_len=max_len)
     if verdict.nontrivial_fixed_points:
@@ -400,40 +394,6 @@ class _DecimalAssembler:
         return pruned if pruned else allowed
 
 
-def _fast_reject(table: list[int], max_len: int = 4) -> bool:
-    """Bounded bad-cycle scan for a finished sibling-permutation rule.
-
-    Each per-value subgraph and the self-replicating subgraph have exactly
-    one outgoing edge per node, so a walk of ``max_len`` steps from every
-    node finds all short cycles.
-    """
-    d = 10
-    # out-neighbor of node j in the subgraph for value s: position of s
-    pos = [[-1] * d for _ in range(100)]
-    for j in range(100):
-        for t in range(d):
-            pos[j][table[10 * j + t]] = t
-    for s in range(d):
-        for start in range(100):
-            cur = start
-            for step in range(1, max_len + 1):
-                cur = (10 * cur + pos[cur][s]) % 100
-                if cur == start:
-                    if step >= 2:
-                        return True
-                    break
-    # self-replicating walk: value demanded at node j is j mod 10
-    for start in range(100):
-        cur = start
-        for step in range(1, max_len + 1):
-            cur = (10 * cur + pos[cur][cur % 10]) % 100
-            if cur == start:
-                if step >= 2:
-                    return True
-                break
-    return False
-
-
 def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
                        max_attempts_per_rule: int = 200) -> list[Rule]:
     """Heuristically assemble 10-state PRNG candidate rules.
@@ -469,12 +429,8 @@ def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
             continue
         if -1 in asm.table:  # every RMT is covered by the stages
             raise AssertionError("staged sets failed to cover the rule table")
-        if _fast_reject(asm.table):
-            continue
         rule = Rule(10, 3, tuple(asm.table))
-        if not equivalent_sets_acceptable(rule):
-            continue
-        if verify_rule(rule):  # same check through the general graph path
+        if equivalent_sets_acceptable(rule) and verify_rule(rule):
             out.append(rule)
     return out
 

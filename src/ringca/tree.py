@@ -603,16 +603,7 @@ class _ClassifyBuilder(_Builder):
 
 
 def _strictly_irreversible(rule: Rule) -> bool:
-    seen = {}
-    for s in range(rule.d):
-        r = 0
-        for _ in range(rule.m):
-            r = r * rule.d + s
-        v = rule.table[r]
-        if v in seen:
-            return True
-        seen[v] = s
-    return False
+    return len({rule.table[rule.homogeneous_rmt(s)] for s in range(rule.d)}) < rule.d
 
 
 def classify(rule: Rule) -> ReversibilityReport:

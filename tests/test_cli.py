@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ringca
 from ringca.cli import run
 from ringca.tree import ReversibilityReport
 
@@ -10,6 +15,14 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def python(*argv):
+    """Run a fresh interpreter that imports this checkout's ringca."""
+    src = str(Path(ringca.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
 
 
 class TestClassify:
@@ -70,6 +83,14 @@ class TestInfo:
         data = json.loads(out)
         assert data["left_changes"] == 18 and data["right_changes"] == 10
         assert data["balanced"] is True and data["linear"] is False
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_max_cycle_below_one(self, capsys, bound):
+        code, out, err = invoke(capsys, "info", "--d", "3", "--m", "3",
+                                "--rule", "120021120021021120021021210",
+                                "--max-cycle", bound)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestSynthesize:
@@ -140,3 +161,39 @@ class TestFiles:
         code, out, _ = invoke(capsys, "check", "--rule-file", str(rule_file),
                               "--size", "7")
         assert code == 0 and "Reversible" in out
+
+    def test_prng_count_below_one(self, capsys):
+        code, out, err = invoke(capsys, "prng", "--scheme", "bin",
+                                "--perm", "8135940672", "--count", "-5")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--count" in err
+
+    @pytest.mark.parametrize("text, problem", [
+        ("d=2 m=3", "rule="),
+        ("m=3 rule=01001011", "d="),
+        ("d=2 rule=01001011", "m="),
+        ("d=two m=3 rule=01001011", "integers"),
+        ("d=2 m=3.0 rule=01001011", "integers"),
+        ("d=2 m=3 01001011", "'01001011'"),
+    ])
+    def test_rule_file_errors(self, capsys, tmp_path, text, problem):
+        rule_file = tmp_path / "rule.txt"
+        rule_file.write_text(text + "\n")
+        code, out, err = invoke(capsys, "check", "--rule-file", str(rule_file),
+                                "--size", "7")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert problem in err
+
+
+class TestEntryPoints:
+    def test_module_main(self):
+        proc = python("-m", "ringca.cli", "classify", "--d", "2", "--m", "3",
+                      "--rule", "01001011")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("non-trivially-semi-reversible")
+
+    def test_no_networkx_import(self):
+        proc = python("-c", "import sys, ringca.cli; "
+                            "print('networkx' in sys.modules)")
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"

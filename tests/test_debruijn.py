@@ -109,6 +109,58 @@ class TestPrimaryRmtSets:
             assert n in reachable
 
 
+def brute_force_cycles(d, m, rmts, max_len):
+    """Oracle: extend every walk with distinct nodes from every start node,
+    keep those that close, and reduce each to its smallest rotation."""
+    num_nodes = d ** (m - 1)
+    edge = {(r // d, r % num_nodes): r for r in rmts}
+    bound = num_nodes if max_len is None else max_len
+    found = set()
+
+    def extend(nodes, walk):
+        for head in range(num_nodes):
+            r = edge.get((nodes[-1], head))
+            if r is None:
+                continue
+            if head == nodes[0]:
+                cycle = walk + (r,)
+                found.add(min(cycle[i:] + cycle[:i] for i in range(len(cycle))))
+            elif head not in nodes and len(walk) + 1 < bound:
+                extend(nodes + (head,), walk + (r,))
+
+    for start in range(num_nodes):
+        extend((start,), ())
+    return sorted(found, key=lambda c: (len(c), c))
+
+
+class TestCycleSearch:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, data):
+        d, m = data.draw(st.sampled_from([(2, 3), (3, 3), (2, 4)]))
+        rmts = data.draw(st.sets(st.integers(0, d ** m - 1)))
+        max_len = data.draw(st.one_of(st.none(), st.integers(1, 5)))
+        assert (DeBruijnGraph(d, m).cycles(rmts, max_len=max_len)
+                == brute_force_cycles(d, m, rmts, max_len))
+
+    def test_deep_unbounded_search(self):
+        # one cycle through all 1024 nodes of B(10, 2), from the prefer-one
+        # de Bruijn sequence (Martin 1934): deeper than the recursion limit
+        node, seen, rmts = 0, {0}, []
+        while len(seen) < 1024:
+            rmt = node * 2 + ((node * 2 + 1) % 1024 not in seen)
+            node = rmt % 1024
+            seen.add(node)
+            rmts.append(rmt)
+        rmts.append(node * 2)  # the walk ends at 10...0, one step from 0
+        assert DeBruijnGraph(2, 11).cycles(rmts) == [tuple(rmts)]
+
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_rejects_bound_below_one(self, max_len):
+        with pytest.raises(ValueError, match="at least 1"):
+            DeBruijnGraph(2, 3).cycles(range(8), max_len=max_len)
+
+
 class TestFixedPoints:
     def test_strategy_i_sample(self):
         rule = parse_rule(STRATEGY_I_SAMPLE, 3, 3)

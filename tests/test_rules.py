@@ -152,3 +152,9 @@ class TestSetGeometry:
         assert frozenset().union(*equi) == universe
         assert sum(len(s) for s in sibl) == d ** m
         assert sum(len(s) for s in equi) == d ** m
+
+    @pytest.mark.parametrize("d, m", [(2, 3), (3, 5), (10, 3), (10, 2)])
+    def test_homogeneous_rmt(self, d, m):
+        rule = Rule(d, m, (0,) * d ** m)
+        for s in range(d):
+            assert rule.rmt_digits(rule.homogeneous_rmt(s)) == (s,) * m

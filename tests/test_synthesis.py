@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -166,6 +167,11 @@ class TestSynthesizeDecimal:
     def test_determinism(self, rules):
         again = synthesize_decimal(8, seed=2024)
         assert [r.string for r in again] == [r.string for r in rules]
+
+    def test_pinned_output(self, rules):
+        digest = hashlib.sha256("\n".join(r.string for r in rules).encode())
+        assert digest.hexdigest() == (
+            "e6a2d81e19d41004e9f20aa68dce13784bc04f4fd36fcabdb7c37b4278081b12")
 
     def test_no_short_constant_cycles(self, rules):
         # constant cycles up to the staged cardinality cap never survive
