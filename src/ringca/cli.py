@@ -97,8 +97,8 @@ def _cmd_info(args) -> int:
     flow = information_flow(rule)
     quiescent = sorted(debruijn.quiescent_states(rule))
     max_cycle = args.max_cycle
-    if max_cycle is None and rule.d > 4:
-        max_cycle = 4  # unbounded enumeration explodes on wide alphabets
+    if max_cycle is None and (rule.d > 4 or rule.d ** (rule.m - 1) > 16):
+        max_cycle = 4  # unbounded enumeration explodes on large de Bruijn graphs
     fixed = debruijn.fixed_point_attractors(rule, max_len=max_cycle)
     verdict = debruijn.trivial_reachability(rule, max_len=max_cycle)
     if args.json:

@@ -36,6 +36,8 @@ class Generator:
 
     def __init__(self, rule: Rule, scheme: str, width: int, n: int,
                  modulus: int | None = None):
+        if width < 1:
+            raise ValueError(f"window width must be at least 1, got {width}")
         if width >= n:
             raise ValueError("window must be shorter than the ring")
         self.rule = rule

@@ -16,6 +16,11 @@ n - iota decides reversibility for arbitrary n and yields arithmetic
 progressions of sizes ("n = modulus*j + offset") at which the CA is
 irreversible.
 
+Each unique node is judged once, when it is created: whether it fails the
+generic balance and d^m count, and at which last levels n - iota its
+restricted content would fail.  A re-occurrence only grows the node's
+occurrence claims, which are tested against those stored verdicts.
+
 Node contents are stored as tuples of integer bitmasks over the d^m RMTs;
 RMT multiplicity across the d^(m-1) set slots is what the balance and
 cardinality conditions count.
@@ -52,7 +57,6 @@ class _Context:
         self.m = m
         self.num_rmts = d ** m
         self.num_sets = d ** (m - 1)
-        self.full_total = self.num_rmts
         # RMTs labelled with each next-state value
         self.value_mask = [0] * d
         for r, v in enumerate(rule.table):
@@ -167,10 +171,10 @@ def restrict_last_levels(node: TreeNode, rule: Rule, iota: int) -> TreeNode:
 
 class _Node:
     __slots__ = ("gamma", "levels", "self_loop", "children", "created_level",
-                 "claims", "bad_iotas", "generic_bad")
+                 "claims", "bad_iotas")
 
     def __init__(self, gamma, levels, claims, self_loop, bad_iotas,
-                 generic_bad, created_level):
+                 created_level):
         self.gamma = gamma
         self.levels: set[int] = set(levels)
         self.self_loop = self_loop
@@ -181,7 +185,6 @@ class _Node:
         # (start, L) arithmetic progression start + j*L.
         self.claims: set[tuple[int, int]] = set(claims)
         self.bad_iotas = bad_iotas
-        self.generic_bad = generic_bad
 
 
 def _state_claims(levels: set[int], self_loop: bool) -> set[tuple[int, int]]:
@@ -212,18 +215,19 @@ class _Builder:
     """Shared minimized-tree construction with loop bookkeeping.
 
     ``on_change(uid)`` fires after a node's occurrence claims grow (creation
-    included); raising from it aborts construction.
+    included); raising from it aborts construction.  Node content is judged
+    once, in ``_new_node``: equal nodes root equal subtrees, so a node met
+    again needs no second look.  Subclasses judge the generic condition in
+    a ``_new_node`` override, before the node is appended; the fixed-size
+    check rejects a violating node there, so it is not counted in M.
     """
 
-    def __init__(self, rule: Rule, on_change, generic_check_limit=None):
+    def __init__(self, rule: Rule, on_change):
         self.ctx = _Context(rule)
         self.rule = rule
         self.nodes: list[_Node] = []
         self.index: dict[tuple[int, ...], int] = {}
         self.on_change = on_change
-        # children at levels <= limit get the generic balance/d^m check
-        self.generic_check_limit = generic_check_limit
-        self.generic_violation_level: int | None = None
 
     # -- node bookkeeping -------------------------------------------------
 
@@ -243,7 +247,6 @@ class _Builder:
             claims,
             self_loop,
             self.ctx.bad_iotas(gamma),
-            not self.ctx.node_ok(gamma, self.ctx.full_total),
             created_level,
         )
         self.nodes.append(node)
@@ -343,12 +346,6 @@ class _Builder:
                 children = []
                 for branch in range(self.ctx.d):
                     _, gamma = self.ctx.child(parent.gamma, branch)
-                    limit = self.generic_check_limit
-                    if (limit is None or i <= limit) and not self.ctx.node_ok(
-                            gamma, self.ctx.full_total):
-                        if self.generic_violation_level is None:
-                            self.generic_violation_level = i
-                        self.on_generic_violation(gamma, i)
                     uid = self.index.get(gamma)
                     if uid is None:
                         levels = {l + 1 for l in parent.levels}
@@ -364,9 +361,6 @@ class _Builder:
             i += 1
         self.final_frontier = frontier
         self.levels_built = i - 1
-
-    def on_generic_violation(self, gamma, level: int) -> None:  # overridden
-        raise NotImplementedError
 
     # -- stats -------------------------------------------------------------
 
@@ -399,11 +393,15 @@ class _IrreversibleFound(Exception):
 
 class _FixedSizeBuilder(_Builder):
     def __init__(self, rule: Rule, n: int):
-        super().__init__(rule, self._verify, generic_check_limit=n - rule.m)
+        super().__init__(rule, self._verify)
         self.n = n
 
-    def on_generic_violation(self, gamma, level: int) -> None:
-        raise _IrreversibleFound
+    def _new_node(self, gamma, levels: set[int], self_loop: bool,
+                  created_level: int, parent: _Node | None = None) -> int:
+        if created_level <= self.n - self.ctx.m and not self.ctx.node_ok(
+                gamma, self.ctx.num_rmts):
+            raise _IrreversibleFound
+        return super()._new_node(gamma, levels, self_loop, created_level, parent)
 
     def _verify(self, uid: int) -> None:
         nd = self.nodes[uid]
@@ -412,25 +410,21 @@ class _FixedSizeBuilder(_Builder):
                 raise _IrreversibleFound
 
     def final_checks(self) -> None:
+        """Walk the last m - 2 levels below level n - m + 1.
+
+        Claims need no re-sweep here: ``_verify`` tests them every time they
+        grow.  Construction stops at level n - m + 1 (the pinned M values
+        count the nodes built up to there), so the restricted contents of
+        levels n - m + 2 .. n - 1 are derived by this explicit walk.
+        """
         n, m = self.n, self.ctx.m
-        # sweep every node's occurrence claims over the special levels
-        for nd in self.nodes:
-            for iota in nd.bad_iotas:
-                if _claims_cover(nd.claims, n - iota):
-                    raise _IrreversibleFound
         if not self.final_frontier:
             return
-        # construction reached level n-m+1: walk the remaining special
-        # levels explicitly, restricting at each step
-        occupants = {
-            nd.gamma for nd in self.nodes if _claims_cover(nd.claims, n - m + 1)
+        # level n - m + 1 itself was judged through the claims
+        current = {
+            self.ctx.restrict(nd.gamma, m - 1)
+            for nd in self.nodes if _claims_cover(nd.claims, n - m + 1)
         }
-        current = set()
-        for gamma in occupants:
-            restricted = self.ctx.restrict(gamma, m - 1)
-            if not self.ctx.node_ok(restricted, self.ctx.d ** (m - 1)):
-                raise _IrreversibleFound
-            current.add(restricted)
         for iota in range(m - 2, 0, -1):
             nxt = set()
             for gamma in current:
@@ -550,19 +544,21 @@ class _ClassifyBuilder(_Builder):
     """
 
     def __init__(self, rule: Rule):
-        # generic violations are recorded per unique node, so the per-child
-        # re-check in the build loop is disabled (limit below every level)
-        super().__init__(rule, self._collect, generic_check_limit=-1)
+        super().__init__(rule, self._collect)
+        self.generic_bad: set[int] = set()  # uids failing balance/d^m
         self.tails: set[int] = set()
         self.progressions: set[IrrevExpression] = set()
         self.singles: set[int] = set()
 
-    def on_generic_violation(self, gamma, level: int) -> None:
-        raise AssertionError("unreachable: generic checks disabled")
+    def _new_node(self, gamma, levels: set[int], self_loop: bool,
+                  created_level: int, parent: _Node | None = None) -> int:
+        if not self.ctx.node_ok(gamma, self.ctx.num_rmts):
+            self.generic_bad.add(len(self.nodes))
+        return super()._new_node(gamma, levels, self_loop, created_level, parent)
 
     def _collect(self, uid: int) -> None:
         nd = self.nodes[uid]
-        if nd.generic_bad:
+        if uid in self.generic_bad:
             self.tails.add(min(s for s, _ in nd.claims) + self.ctx.m)
         for iota in nd.bad_iotas:
             for start, period in nd.claims:

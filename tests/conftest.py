@@ -35,6 +35,52 @@ def brute_force_reversible(rule, n):
     return True
 
 
+def pair_graph_bijective(rule, n):
+    """Oracle: is the global map a bijection at ring size n?
+
+    The Amoroso-Patt / Sutner pair-graph test.  Configurations of an
+    n-ring are the closed walks of length n in the de Bruijn graph on the
+    d^(m-1) windows of m-1 cells, whose edges are the RMTs labelled with
+    their next state.  Pair node (u, v) steps to (u', v') when u -> u' and
+    v -> v' carry the same label; two configurations share an image iff
+    a closed pair walk of length n visits some (u, v) with u != v.  The
+    walks are counted by a boolean matrix power, rows held as int bitsets.
+    """
+    d, nodes = rule.d, rule.d ** (rule.m - 1)
+    out_edges = [[] for _ in range(nodes)]
+    for r, label in enumerate(rule.table):
+        out_edges[r // d].append((r % nodes, label))
+    step = []
+    for u, v in itertools.product(range(nodes), repeat=2):
+        row = 0
+        for u2, a in out_edges[u]:
+            for v2, b in out_edges[v]:
+                if a == b:
+                    row |= 1 << (u2 * nodes + v2)
+        step.append(row)
+
+    def times(x, y):
+        out = []
+        for row in x:
+            acc = 0
+            while row:
+                low = row & -row
+                acc |= y[low.bit_length() - 1]
+                row ^= low
+            out.append(acc)
+        return out
+
+    power = [1 << p for p in range(nodes * nodes)]
+    while n:
+        if n & 1:
+            power = times(power, step)
+        n >>= 1
+        if n:
+            step = times(step, step)
+    return not any(power[p] >> p & 1
+                   for p in range(nodes * nodes) if p // nodes != p % nodes)
+
+
 @pytest.fixture(scope="session")
 def second_approach_rules():
     lines = (DATA / "good_rules_second_approach.txt").read_text().split()

@@ -8,6 +8,7 @@ import pytest
 
 import ringca
 from ringca.cli import run
+from ringca.rules import Rule, self_replicating_rmts
 from ringca.tree import ReversibilityReport
 
 
@@ -92,6 +93,20 @@ class TestInfo:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_default_bound_on_large_graph(self):
+        # every RMT self-replicates, so an unbounded search would enumerate
+        # every elementary cycle of the 128-node de Bruijn graph
+        probe = Rule(2, 8, (0,) * 256)
+        identity = Rule(2, 8, tuple(probe.middle_digit(r) for r in range(256)))
+        assert len(self_replicating_rmts(identity)) == 256
+        capped = ("import resource, sys; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                  "from ringca.cli import main; main()")
+        proc = python("-c", capped, "info", "--d", "2", "--m", "8",
+                      "--rule", identity.string)
+        assert proc.returncode == 0, proc.stderr
+        assert "quiescent states: [0, 1]" in proc.stdout
+
 
 class TestSynthesize:
     def test_strategy_ii(self, capsys):
@@ -167,6 +182,18 @@ class TestFiles:
                                 "--perm", "8135940672", "--count", "-5")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "--count" in err
+
+    @pytest.mark.parametrize("rule_args", [
+        ("--scheme", "tri", "--d", "3", "--m", "3",
+         "--rule", "120021120021021120021021210"),
+        ("--scheme", "dec", "--perm", "8135940672"),
+    ])
+    def test_prng_width_below_one(self, capsys, rule_args):
+        code, out, err = invoke(capsys, "prng", *rule_args, "--width", "0",
+                                "--count", "2", "--format", "decimal-lines")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "width" in err
 
     @pytest.mark.parametrize("text, problem", [
         ("d=2 m=3", "rule="),

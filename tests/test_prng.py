@@ -26,6 +26,10 @@ class TestGeometry:
     def test_tri_window_20_needs_51_cells(self, tri_rule):
         assert tri_window(tri_rule, 20).n == 51
 
+    def test_width_below_one_rejected(self, tri_rule):
+        with pytest.raises(ValueError, match="width"):
+            tri_window(tri_rule, -1)
+
     def test_tri_window_odd_and_scaled(self, tri_rule):
         gen = tri_window(tri_rule, 30)
         assert gen.n % 2 == 1 and gen.n >= 75

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringca.rules import Rule, eca, parse_rule
+from ringca.synthesis import StrategySpec, generate_strategy
 from ringca.tree import (Classification, IrrevExpression, check_reversible,
                          child_node, classify, merge_expressions,
                          restrict_last_levels, reversible_sizes, root_node)
 
-from conftest import brute_force_reversible
+from conftest import brute_force_reversible, pair_graph_bijective
 
 
 def sets(*groups):
@@ -111,6 +112,43 @@ class TestCheckReversible:
             for n in range(3, 8):
                 assert (check_reversible(rule, n).reversible
                         == brute_force_reversible(rule, n)), (rule.string, n)
+
+    def test_pair_graph_oracle_against_brute_force(self):
+        rng = random.Random(4)
+        rules = [eca(k) for k in range(256)]
+        for _ in range(60):
+            d, m = rng.choice([(2, 2), (2, 4), (3, 2), (3, 3)])
+            table = [v for v in range(d) for _ in range(d ** (m - 1))]
+            rng.shuffle(table)
+            rules.append(Rule(d, m, tuple(table)))
+        for rule in rules:
+            for n in range(rule.m, 8):
+                assert (pair_graph_bijective(rule, n)
+                        == brute_force_reversible(rule, n)), (rule.string, n)
+
+    def test_large_sizes_against_pair_graph(self):
+        rng = random.Random(2026)
+        pool = generate_strategy(StrategySpec("I", seed=5), 200)
+        pool += generate_strategy(StrategySpec("II", seed=5), 200)
+        for _ in range(400):
+            d, m = rng.choice([(2, 3), (2, 4), (3, 3)])
+            table = [v for v in range(d) for _ in range(d ** (m - 1))]
+            rng.shuffle(table)
+            pool.append(Rule(d, m, tuple(table)))
+        # keep rules bijective at some small size, so both verdicts occur
+        rules = [r for r in pool
+                 if any(pair_graph_bijective(r, n) for n in range(r.m, 10))]
+        verdicts = set()
+        for rule in rules:
+            report = classify(rule)
+            for n in (rng.randint(rule.m, 300), rng.randint(rule.m, 10 ** 5)):
+                expected = pair_graph_bijective(rule, n)
+                verdicts.add(expected)
+                assert check_reversible(rule, n).reversible == expected, \
+                    (rule.string, n)
+                assert report.irreversible_at(n) == (not expected), \
+                    (rule.string, n)
+        assert verdicts == {True, False}
 
     def test_two_neighborhood_rules(self):
         rng = random.Random(8)
