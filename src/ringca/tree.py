@@ -21,9 +21,17 @@ generic balance and d^m count, and at which last levels n - iota its
 restricted content would fail.  A re-occurrence only grows the node's
 occurrence claims, which are tested against those stored verdicts.
 
-Node contents are stored as tuples of integer bitmasks over the d^m RMTs;
-RMT multiplicity across the d^(m-1) set slots is what the balance and
-cardinality conditions count.
+A slot's content is an integer bitmask over the d^m RMTs; RMT multiplicity
+across the d^(m-1) set slots is what the balance and cardinality
+conditions count.  One rule's tree holds few distinct slot contents (about
+1,100 for a 10-state rule against 100 slots in each of thousands of
+nodes), so each gets a small int id, and a node is stored as the tuple of
+its slot ids.  Per-rule slot tables, filled on first use and kept for one
+``check_reversible`` or ``classify`` call, map an id to its child along
+each branch, to its restriction at each last level, and to its d
+per-value RMT counts packed into one int: a node is balanced with the
+right total t exactly when its slots' packed counts sum to t/d in every
+field.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .rules import Rule, is_balanced
 
@@ -47,11 +56,31 @@ class TreeSizeError(RuntimeError):
 # rule-specific precomputation and node primitives
 
 
+class _SlotTable(dict):
+    """Memo of a per-slot function, filled on first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        out = self[key] = self.fn(key)
+        return out
+
+
 class _Context:
-    """Per-rule bitmask tables used by all node operations."""
+    """Per-rule tables used by all node operations.
+
+    A node is a tuple of slot ids.  Each distinct slot content, a bitmask
+    over the d^m RMTs, gets a small int id when first met (``intern``);
+    its packed per-value RMT counts are computed then, and its child along
+    a branch on first request, so a rule's tree expands and counts each
+    distinct slot content at most once.
+    """
 
     def __init__(self, rule: Rule):
-        self.rule = rule
         d, m = rule.d, rule.m
         self.d = d
         self.m = m
@@ -64,6 +93,16 @@ class _Context:
         # sibling expansion of a single RMT: Sibl_(r mod d^(m-1))
         block = (1 << d) - 1
         self.expand = [block << (d * (r % self.num_sets)) for r in range(self.num_rmts)]
+        # value counts of a slot, one bit field per value; the fields are
+        # wide enough that a node's sum never carries from one to the next
+        self.width = (self.num_sets * self.num_rmts).bit_length() + 1
+        self.ones = sum(1 << (v * self.width) for v in range(d))
+        self.masks: list[int] = []  # slot id -> RMT bitmask
+        self.ids: dict[int, int] = {}  # RMT bitmask -> slot id
+        self.code: list[int] = []  # slot id -> packed value counts
+        # slot id -> child slot id, one table per branch
+        self.child_slot = [_SlotTable(partial(self._expand, vmask))
+                           for vmask in self.value_mask]
         # valid RMTs per set slot at level n - iota
         self.valid = [None] * m  # index by iota, 1..m-1
         for iota in range(1, m):
@@ -76,45 +115,52 @@ class _Context:
                     mask |= 1 << (i + j * step)
                 per_slot.append(mask)
             self.valid[iota] = per_slot
+        # (slot index, slot id) -> restricted slot id, one table per iota
+        self.restricted = [None] + [_SlotTable(partial(self._restrict, iota))
+                                    for iota in range(1, m)]
+
+    def intern(self, mask: int) -> int:
+        """Slot id of one slot's RMT bitmask."""
+        sid = self.ids.get(mask)
+        if sid is None:
+            sid = self.ids[mask] = len(self.masks)
+            self.masks.append(mask)
+            self.code.append(sum(
+                (mask & vmask).bit_count() << (v * self.width)
+                for v, vmask in enumerate(self.value_mask)))
+        return sid
+
+    def _expand(self, vmask: int, sid: int) -> int:
+        """Child slot: the sibling sets of the slot's RMTs in ``vmask``."""
+        out = 0
+        bits = self.masks[sid] & vmask
+        while bits:
+            low = bits & -bits
+            out |= self.expand[low.bit_length() - 1]
+            bits ^= low
+        return self.intern(out)
+
+    def _restrict(self, iota: int, key: tuple[int, int]) -> int:
+        """Id of content ``key[1]`` of slot ``key[0]`` at level n - iota."""
+        k, sid = key
+        return self.intern(self.masks[sid] & self.valid[iota][k])
 
     def root(self) -> tuple[int, ...]:
         block = (1 << self.d) - 1
-        return tuple(block << (self.d * k) for k in range(self.num_sets))
+        return tuple(self.intern(block << (self.d * k)) for k in range(self.num_sets))
 
-    def child(self, gamma: tuple[int, ...], branch: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Edge label and child node along ``branch``."""
-        vmask = self.value_mask[branch]
-        label = []
-        child = []
-        for g in gamma:
-            lab = g & vmask
-            label.append(lab)
-            out = 0
-            bits = lab
-            while bits:
-                low = bits & -bits
-                out |= self.expand[low.bit_length() - 1]
-                bits ^= low
-            child.append(out)
-        return tuple(label), tuple(child)
+    def child(self, gamma: tuple[int, ...], branch: int) -> tuple[int, ...]:
+        """Child node along ``branch``."""
+        return tuple(map(self.child_slot[branch].__getitem__, gamma))
 
     def restrict(self, gamma: tuple[int, ...], iota: int) -> tuple[int, ...]:
         """Intersect each set slot with the valid RMTs of level n - iota."""
-        valid = self.valid[iota]
-        return tuple(g & valid[k] for k, g in enumerate(gamma))
-
-    def total(self, gamma: tuple[int, ...]) -> int:
-        return sum(g.bit_count() for g in gamma)
-
-    def balanced(self, gamma: tuple[int, ...]) -> bool:
-        counts = [0] * self.d
-        for g in gamma:
-            for v in range(self.d):
-                counts[v] += (g & self.value_mask[v]).bit_count()
-        return len(set(counts)) == 1
+        return tuple(map(self.restricted[iota].__getitem__, enumerate(gamma)))
 
     def node_ok(self, gamma: tuple[int, ...], required_total: int) -> bool:
-        return self.total(gamma) == required_total and self.balanced(gamma)
+        """``required_total`` RMTs in all, equally many for every value."""
+        return (sum(map(self.code.__getitem__, gamma))
+                == (required_total // self.d) * self.ones)
 
     def bad_iotas(self, gamma: tuple[int, ...]) -> frozenset[int]:
         """Which last-level placements this node content would violate."""
@@ -133,9 +179,9 @@ def _to_masks(node: TreeNode) -> tuple[int, ...]:
     return tuple(sum(1 << r for r in s) for s in node)
 
 
-def _to_sets(gamma: tuple[int, ...]) -> TreeNode:
+def _to_sets(masks) -> TreeNode:
     out = []
-    for g in gamma:
+    for g in masks:
         members = set()
         while g:
             low = g & -g
@@ -147,22 +193,29 @@ def _to_sets(gamma: tuple[int, ...]) -> TreeNode:
 
 def root_node(rule: Rule) -> TreeNode:
     """The tree root: slot k holds sibling set k."""
-    return _to_sets(_Context(rule).root())
+    ctx = _Context(rule)
+    return _to_sets(ctx.masks[sid] for sid in ctx.root())
 
 
 def child_node(node: TreeNode, rule: Rule, branch: int) -> tuple[TreeNode, TreeNode]:
     """Label and child of ``node`` along the branch for state ``branch``."""
     if not 0 <= branch < rule.d:
         raise ValueError(f"branch must be a state < {rule.d}")
-    label, child = _Context(rule).child(_to_masks(node), branch)
-    return _to_sets(label), _to_sets(child)
+    ctx = _Context(rule)
+    masks = _to_masks(node)
+    child = ctx.child(tuple(map(ctx.intern, masks)), branch)
+    vmask = ctx.value_mask[branch]
+    return (_to_sets(g & vmask for g in masks),
+            _to_sets(ctx.masks[sid] for sid in child))
 
 
 def restrict_last_levels(node: TreeNode, rule: Rule, iota: int) -> TreeNode:
     """Node content as it appears at level n - iota (valid RMTs only)."""
     if not 1 <= iota <= rule.m - 1:
         raise ValueError(f"iota must be in [1, {rule.m - 1}]")
-    return _to_sets(_Context(rule).restrict(_to_masks(node), iota))
+    ctx = _Context(rule)
+    restricted = ctx.restrict(tuple(map(ctx.intern, _to_masks(node))), iota)
+    return _to_sets(ctx.masks[sid] for sid in restricted)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +277,6 @@ class _Builder:
 
     def __init__(self, rule: Rule, on_change):
         self.ctx = _Context(rule)
-        self.rule = rule
         self.nodes: list[_Node] = []
         self.index: dict[tuple[int, ...], int] = {}
         self.on_change = on_change
@@ -345,7 +397,7 @@ class _Builder:
                 parent = self.nodes[p]
                 children = []
                 for branch in range(self.ctx.d):
-                    _, gamma = self.ctx.child(parent.gamma, branch)
+                    gamma = self.ctx.child(parent.gamma, branch)
                     uid = self.index.get(gamma)
                     if uid is None:
                         levels = {l + 1 for l in parent.levels}
@@ -360,7 +412,6 @@ class _Builder:
             frontier = next_frontier
             i += 1
         self.final_frontier = frontier
-        self.levels_built = i - 1
 
     # -- stats -------------------------------------------------------------
 
@@ -429,8 +480,8 @@ class _FixedSizeBuilder(_Builder):
             nxt = set()
             for gamma in current:
                 for branch in range(self.ctx.d):
-                    _, child = self.ctx.child(gamma, branch)
-                    child = self.ctx.restrict(child, iota)
+                    child = self.ctx.restrict(
+                        self.ctx.child(gamma, branch), iota)
                     if not self.ctx.node_ok(child, self.ctx.d ** iota):
                         raise _IrreversibleFound
                     nxt.add(child)

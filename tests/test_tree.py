@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringca.rules import Rule, eca, parse_rule
-from ringca.synthesis import StrategySpec, generate_strategy
-from ringca.tree import (Classification, IrrevExpression, check_reversible,
-                         child_node, classify, merge_expressions,
-                         restrict_last_levels, reversible_sizes, root_node)
+from ringca.synthesis import (StrategySpec, generate_strategy,
+                              rule_from_permutation)
+from ringca.tree import (Classification, IrrevExpression, _Context,
+                         check_reversible, child_node, classify,
+                         merge_expressions, restrict_last_levels,
+                         reversible_sizes, root_node)
 
-from conftest import brute_force_reversible, pair_graph_bijective
+from conftest import (PERMUTATION_RULES, brute_force_reversible,
+                      pair_graph_bijective)
 
 
 def sets(*groups):
@@ -72,6 +75,96 @@ class TestNodeOperations:
         restricted = restrict_last_levels(node, rule, 1)
         values = [rule.table[r] for s in restricted for r in s]
         assert len(set(values)) < 3 or len(values) != 3
+
+
+def reference_counts(rule, masks):
+    """Per-value RMT multiplicities of a node, bit by bit."""
+    counts = [0] * rule.d
+    for g in masks:
+        for r in range(rule.d ** rule.m):
+            if g >> r & 1:
+                counts[rule.table[r]] += 1
+    return counts
+
+
+def reference_child(rule, masks, branch):
+    """Each slot's RMTs labelled ``branch``, expanded to their sibling sets."""
+    d, num_sets = rule.d, rule.d ** (rule.m - 1)
+    out = []
+    for g in masks:
+        child = 0
+        for r in range(d ** rule.m):
+            if g >> r & 1 and rule.table[r] == branch:
+                for j in range(d):
+                    child |= 1 << (d * (r % num_sets) + j)
+        out.append(child)
+    return out
+
+
+def reference_restrict(rule, masks, iota):
+    """Slot k keeps the RMTs r with r mod d^(m-iota) = k div d^(iota-1)."""
+    d, m = rule.d, rule.m
+    return [sum(1 << r for r in range(d ** m)
+                if g >> r & 1 and r % d ** (m - iota) == k // d ** (iota - 1))
+            for k, g in enumerate(masks)]
+
+
+def reference_ok(counts, total):
+    return sum(counts) == total and len(set(counts)) == 1
+
+
+class TestSlotTables:
+    """Memoized per-slot node operations against literal references."""
+
+    @staticmethod
+    def random_nodes(rule, rng):
+        d, num_rmts, num_sets = rule.d, rule.d ** rule.m, rule.d ** (rule.m - 1)
+        nodes = [[rng.getrandbits(num_rmts) for _ in range(num_sets)]]
+        density = rng.random()
+        nodes.append([sum(1 << r for r in range(num_rmts) if rng.random() < density)
+                      for _ in range(num_sets)])
+        # balanced by construction: c RMTs of every value, in random slots
+        balanced = [0] * num_sets
+        c = rng.randint(0, num_sets)
+        for v in range(d):
+            for r in rng.sample([r for r in range(num_rmts) if rule.table[r] == v], c):
+                balanced[rng.randrange(num_sets)] |= 1 << r
+        nodes.append(balanced)
+        return nodes
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_against_reference(self, data):
+        d = data.draw(st.integers(2, 4), label="d")
+        m = data.draw(st.integers(2, 4), label="m")
+        table = data.draw(st.permutations(
+            [v for v in range(d) for _ in range(d ** (m - 1))]), label="table")
+        rule = Rule(d, m, tuple(table))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        # the shared context sees every node below; a stale or mixed-up
+        # memo entry shows as a difference from a fresh context's answer
+        shared = _Context(rule)
+        nodes = [[shared.masks[s] for s in shared.root()]]
+        nodes += self.random_nodes(rule, rng)
+        nodes += [reference_child(rule, nodes[1 + i % 3], i % d) for i in range(3)]
+        totals = {d ** i for i in range(1, m + 1)}
+        for masks in nodes:
+            counts = reference_counts(rule, masks)
+            tests = totals | {sum(counts) - sum(counts) % d}
+            children = [reference_child(rule, masks, b) for b in range(d)]
+            restricted = [reference_restrict(rule, masks, i) for i in range(1, m)]
+            bad = {i for i in range(1, m)
+                   if not reference_ok(reference_counts(rule, restricted[i - 1]), d ** i)}
+            for ctx in (shared, _Context(rule)):
+                gamma = tuple(map(ctx.intern, masks))
+                for t in tests:
+                    assert ctx.node_ok(gamma, t) == reference_ok(counts, t)
+                for b in range(d):
+                    assert [ctx.masks[s] for s in ctx.child(gamma, b)] == children[b]
+                for i in range(1, m):
+                    assert ([ctx.masks[s] for s in ctx.restrict(gamma, i)]
+                            == restricted[i - 1])
+                assert ctx.bad_iotas(gamma) == bad
 
 
 class TestCheckReversible:
@@ -149,6 +242,20 @@ class TestCheckReversible:
                 assert report.irreversible_at(n) == (not expected), \
                     (rule.string, n)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("perm", PERMUTATION_RULES[:2])
+    def test_ten_state_permutation_rules(self, perm):
+        rule = rule_from_permutation(perm)
+        for n, pinned in ((11, (True, 811, 9)), (15, (False, 1112, 13)),
+                          (21, (False, 1712, 19))):
+            result = check_reversible(rule, n)
+            assert (result.reversible, result.unique_nodes,
+                    result.last_unique_level) == pinned, n
+
+    def test_ten_state_permutation_rule_large_ring(self):
+        result = check_reversible(rule_from_permutation(PERMUTATION_RULES[0]), 101)
+        assert (result.reversible, result.unique_nodes,
+                result.last_unique_level) == (True, 6000, 61)
 
     def test_two_neighborhood_rules(self):
         rng = random.Random(8)
