@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain error (bad rule/configuration/size),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -49,10 +50,9 @@ def parse_rule_spec(text: str) -> Rule:
     return parse_rule(fields["rule"], d, m)
 
 
-def _add_rule_args(p: argparse.ArgumentParser, need_dm: bool = True) -> None:
-    if need_dm:
-        p.add_argument("--d", type=int, default=3, help="states per cell")
-        p.add_argument("--m", type=int, default=3, help="neighborhood size")
+def _add_rule_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--d", type=int, default=3, help="states per cell")
+    p.add_argument("--m", type=int, default=3, help="neighborhood size")
     p.add_argument("--rule", help="rule digit string, highest RMT first")
     p.add_argument("--perm", help="10-digit permutation form of a decimal rule")
     p.add_argument("--rule-file", help="file with `d=.. m=.. rule=..`")
@@ -80,12 +80,7 @@ def _cmd_check(args) -> int:
     rule = _load_rule(args)
     result = tree.check_reversible(rule, args.size)
     if args.json:
-        print(json.dumps({
-            "size": result.size,
-            "reversible": result.reversible,
-            "unique_nodes": result.unique_nodes,
-            "last_unique_level": result.last_unique_level,
-        }))
+        print(json.dumps(dataclasses.asdict(result)))
         return 0
     verdict = "Reversible" if result.reversible else "Irreversible"
     print(f"{verdict} (M={result.unique_nodes})")

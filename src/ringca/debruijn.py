@@ -26,15 +26,21 @@ def parse_configuration(text: str, d: int) -> tuple[int, ...]:
     return tuple(cells)
 
 
+def as_cells(config: Sequence[int] | str, d: int) -> tuple[int, ...]:
+    """A configuration as a cell tuple: a digit string is parsed, and every
+    state must lie in 0..d-1."""
+    if isinstance(config, str):
+        return parse_configuration(config, d)
+    cells = tuple(config)
+    for c in cells:
+        if not 0 <= c < d:
+            raise ValueError(f"cell state {c} out of range for d={d}")
+    return cells
+
+
 def next_configuration(rule: Rule, config: Sequence[int] | str) -> tuple[int, ...]:
     """One synchronous update of ``config`` under periodic boundary."""
-    if isinstance(config, str):
-        cells = parse_configuration(config, rule.d)
-    else:
-        cells = tuple(config)
-        for c in cells:
-            if not 0 <= c < rule.d:
-                raise ValueError(f"cell state {c} out of range for d={rule.d}")
+    cells = as_cells(config, rule.d)
     n = len(cells)
     if n < 1:
         raise ValueError("configuration must have at least one cell")
@@ -56,10 +62,7 @@ def next_configuration(rule: Rule, config: Sequence[int] | str) -> tuple[int, ..
 
 def rmt_sequence(rule: Rule, config: Sequence[int] | str) -> tuple[int, ...]:
     """The cyclic RMT sequence induced by a configuration."""
-    if isinstance(config, str):
-        cells = parse_configuration(config, rule.d)
-    else:
-        cells = tuple(config)
+    cells = as_cells(config, rule.d)
     n = len(cells)
     d = rule.d
     seq = []

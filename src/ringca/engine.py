@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .debruijn import next_configuration, parse_configuration
+from .debruijn import as_cells, next_configuration
 from .rules import Rule
 
 Configuration = tuple[int, ...]
@@ -26,21 +26,11 @@ _PALETTE10 = (
 )
 
 
-def _as_cells(rule: Rule, start: Sequence[int] | str) -> Configuration:
-    if isinstance(start, str):
-        return parse_configuration(start, rule.d)
-    cells = tuple(start)
-    for c in cells:
-        if not 0 <= c < rule.d:
-            raise ValueError(f"cell state {c} out of range for d={rule.d}")
-    return cells
-
-
 def evolve(rule: Rule, start: Sequence[int] | str, steps: int) -> list[Configuration]:
     """Trajectory [x, G(x), ..., G^steps(x)] under periodic boundary."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    cells = _as_cells(rule, start)
+    cells = as_cells(start, rule.d)
     out = [cells]
     for _ in range(steps):
         cells = next_configuration(rule, cells)
@@ -62,7 +52,7 @@ def cycle_length(rule: Rule, start: Sequence[int] | str, max_steps: int) -> Cycl
     """Evolve until a configuration repeats, or the step budget runs out."""
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    cells = _as_cells(rule, start)
+    cells = as_cells(start, rule.d)
     seen = {cells: 0}
     for step in range(1, max_steps + 1):
         cells = next_configuration(rule, cells)

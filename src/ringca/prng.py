@@ -46,7 +46,6 @@ class Generator:
         self.n = n
         self.modulus = modulus
         self.cells: tuple[int, ...] | None = None
-        self.emitted = 0
         raw_bits = width * math.log2(rule.d)
         if modulus is not None:
             self.bits_per_output = modulus.bit_length() - 1
@@ -64,7 +63,6 @@ class Generator:
         for _ in range(self.n):
             cells = next_configuration(self.rule, cells)
         self.cells = cells
-        self.emitted = 0
 
     def next(self) -> int:
         """Advance one step and read the window."""
@@ -77,7 +75,6 @@ class Generator:
             value = value * d + c
         if self.modulus is not None:
             value %= self.modulus
-        self.emitted += 1
         return value
 
 

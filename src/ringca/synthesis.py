@@ -10,8 +10,10 @@ assembles 10-state rules primary-set by primary-set.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 from .debruijn import (fixed_point_attractors, quiescent_states,
                        trivial_reachability)
@@ -63,7 +65,6 @@ class StrategySpec:
     d: int = 3
     m: int = 3
     seed: int = 1
-    max_run: int = 3
     min_reverse_flow: int = 8
 
     def __post_init__(self) -> None:
@@ -94,12 +95,15 @@ def _strategy_ii(rng: Lcg, d: int, m: int) -> Rule:
     return Rule(d, m, tuple(table))
 
 
-def _rule_from_set_values(values: list[int], d: int) -> Rule:
-    """Rule whose sibling set j is constant with next state values[j]."""
-    table = [0] * d ** 3
-    for j, v in enumerate(values):
-        for t in range(d):
-            table[d * j + t] = v
+def _rule_from_grid(grid, by_row: bool) -> Rule:
+    """Strategy-III rule from a d x d grid of sibling-set values: set j is
+    constant with value grid[j // d][j % d] when the grid is read by rows,
+    grid[j % d][j // d] when it is read by columns."""
+    d = len(grid)
+    table = []
+    for j in range(d * d):
+        k, i = divmod(j, d)
+        table += [grid[k][i] if by_row else grid[i][k]] * d
     return Rule(d, 3, tuple(table))
 
 
@@ -113,25 +117,17 @@ def strategy_iii_rules(d: int):
     rules satisfy several clauses and repeat.
     """
     perms = list(permutations(range(d)))
-    # rows constant: row k takes c[k]; balance forces c to be a permutation
-    for c in perms:
-        yield _rule_from_set_values([c[i // d] for i in range(d * d)], d)
-    # rows all-distinct: each row an independent permutation
-    for rows in product(perms, repeat=d):
-        yield _rule_from_set_values(
-            [rows[i // d][i % d] for i in range(d * d)], d)
-    # columns constant
-    for c in perms:
-        yield _rule_from_set_values([c[i % d] for i in range(d * d)], d)
-    # columns all-distinct
-    for cols in product(perms, repeat=d):
-        yield _rule_from_set_values(
-            [cols[i % d][i // d] for i in range(d * d)], d)
+    for by_row in (True, False):
+        # constant lines: line k takes c[k]; balance forces c to be a permutation
+        for c in perms:
+            yield _rule_from_grid([[ck] * d for ck in c], by_row)
+        # all-distinct lines: each line an independent permutation
+        for lines in product(perms, repeat=d):
+            yield _rule_from_grid(lines, by_row)
 
 
 def _strategy_iii(rng: Lcg, d: int) -> Rule:
-    perms = [list(p) for p in permutations(range(d))]
-    fact = len(perms)
+    fact = math.factorial(d)
     weights = [fact, fact ** d, fact, fact ** d]
     pick = rng.randbelow(sum(weights))
     family = 0
@@ -139,23 +135,17 @@ def _strategy_iii(rng: Lcg, d: int) -> Rule:
         if pick < w:
             break
         pick -= w
-    by_row = family < 2
-    constant = family % 2 == 0
-    if constant:
+    if family % 2 == 0:  # constant lines
         c = list(range(d))
         rng.shuffle(c)
-        grid = [[c[k]] * d for k in range(d)]
+        grid = [[ck] * d for ck in c]
     else:
         grid = []
         for _ in range(d):
             p = list(range(d))
             rng.shuffle(p)
             grid.append(p)
-    if by_row:
-        values = [grid[i // d][i % d] for i in range(d * d)]
-    else:
-        values = [grid[i % d][i // d] for i in range(d * d)]
-    return _rule_from_set_values(values, d)
+    return _rule_from_grid(grid, by_row=family < 2)
 
 
 def generate_strategy(spec: StrategySpec, count: int) -> list[Rule]:
@@ -291,84 +281,106 @@ class _DeadEnd(Exception):
 
 
 class _DecimalAssembler:
-    """One synthesis attempt: value assignment over the staged sets."""
+    """One synthesis attempt: value assignment over the staged sets.
+
+    RMT r = abc is the de Bruijn edge from window ab = r // 10 to window
+    bc = r % 100.  Both inner scans walk windows along the RMTs of one
+    label with :meth:`_layers`.  They only score RMTs that are still
+    unassigned; those hold -1, which matches no label, so a walk never
+    passes through the RMT being scored.
+    """
 
     def __init__(self, rng: Lcg, max_run: int):
-        self.d = 10
         self.rng = rng
         self.max_run = max_run
         self.table = [-1] * 1000
         self.sibl_used = [set() for _ in range(100)]
 
+    def assemble(self, stages: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
+        """Random singletons, then the later stages set by set; raises
+        :class:`_DeadEnd` when an RMT has no safe value."""
+        for (r,) in stages[0]:
+            self._set(r, self.rng.randbelow(10))
+        for stage in stages[1:]:
+            for cycle in stage:
+                self.assign_cycle(cycle)
+        return tuple(self.table)
+
+    def _set(self, r: int, v: int) -> None:
+        self.table[r] = v
+        self.sibl_used[r // 10].add(v)
+
+    def _layers(self, start: int, label: int | None,
+                forward: bool) -> Iterator[set[int]]:
+        """Window sets reached from window ``start`` after 1, 2, ... steps
+        along RMTs valued ``label`` (None: self-replicating RMTs, valued
+        their middle digit), forward or backward; stops at the first empty
+        set.
+
+        There is no visited set, so a layer holds the ends of walks, in
+        which RMTs may repeat: layer k is yielded iff some such walk has
+        k RMTs.
+        """
+        table = self.table
+        layer = {start}
+        while True:
+            nxt = set()
+            for w in layer:
+                if forward:  # RMTs 10w + t, to window 10(w % 10) + t
+                    v = w % 10 if label is None else label
+                    base = 10 * (w % 10)
+                    nxt.update(base + t for t, x in
+                               enumerate(table[10 * w:10 * w + 10]) if x == v)
+                else:  # RMTs 100t + w, from window 10t + w // 10
+                    v = w // 10 if label is None else label
+                    base = w // 10
+                    nxt.update(base + 10 * t for t, x in
+                               enumerate(table[w::100]) if x == v)
+            if not nxt:
+                return
+            yield nxt
+            layer = nxt
+
     def _run_through(self, r: int, v: int) -> int:
-        """Longest same-value RMT chain through r if r took value v."""
-        d = self.d
+        """Longest same-value RMT walk through r if r took value v.
+
+        Each side counts the longest walk of v-valued RMTs into or out of
+        r, capped at 2 * max_run; walks, not paths, because an RMT may
+        repeat (r itself never does: it is unassigned).
+        """
         cap = 2 * self.max_run
-
-        def extend(cur: int, forward: bool, depth: int) -> int:
-            if depth >= cap:
-                return 0
-            best = 0
-            if forward:
-                base = (cur * d) % 1000
-                nbrs = [base + t for t in range(d)]
-            else:
-                base = cur // d
-                nbrs = [base + t * 100 for t in range(d)]
-            for nb in nbrs:
-                if self.table[nb] == v:
-                    best = max(best, 1 + extend(nb, forward, depth + 1))
-            return best
-
-        return extend(r, False, 0) + 1 + extend(r, True, 0)
+        back = sum(1 for _ in islice(self._layers(r // 10, v, False), cap))
+        ahead = sum(1 for _ in islice(self._layers(r % 100, v, True), cap))
+        return back + 1 + ahead
 
     def _closes_bad_cycle(self, r: int, v: int) -> bool:
         """Would value v close a constant or self-replicating cycle of
         length 2..4 through RMT r?  (Length-1 loops are the trivial
-        fixed points and stay allowed.)"""
-        d = self.d
-
-        def closes(accept) -> bool:
-            base = (r * d) % 1000
-            layer = {nb for nb in (base + t for t in range(d))
-                     if nb != r and accept(nb)}
-            for _ in range(3):
-                nxt = set()
-                for cur in layer:
-                    b2 = (cur * d) % 1000
-                    for nb in (b2 + t for t in range(d)):
-                        if nb == r:
-                            return True
-                        if accept(nb):
-                            nxt.add(nb)
-                layer = nxt
-            return False
-
-        if closes(lambda x: self.table[x] == v):
-            return True
-        if v == (r // 10) % 10:
-            return closes(lambda x: self.table[x] == (x // 10) % 10)
-        return False
+        fixed points and stay allowed.)  Such a cycle is r followed by a
+        walk of 1..3 RMTs from r's head window back to its tail window."""
+        labels = (v, None) if v == (r // 10) % 10 else (v,)
+        return any(r // 10 in layer
+                   for label in labels
+                   for layer in islice(self._layers(r % 100, label, True), 3))
 
     def assign_cycle(self, cycle: tuple[int, ...]) -> None:
         todo = [r for r in cycle if self.table[r] == -1]
         # fill the tightest sibling sets first; their slots are forced anyway
         todo.sort(key=lambda r: len(self.sibl_used[r // 10]), reverse=True)
         for r in todo:
-            allowed = [v for v in range(self.d) if v not in self.sibl_used[r // 10]]
+            allowed = [v for v in range(10) if v not in self.sibl_used[r // 10]]
             allowed = self._prune(cycle, r, allowed)
-            safe = [v for v in allowed if not self._closes_bad_cycle(r, v)]
-            if not safe:
+            runs = {v: self._run_through(r, v) for v in allowed
+                    if not self._closes_bad_cycle(r, v)}
+            if not runs:
                 raise _DeadEnd  # whatever we pick, verification will fail
-            candidates = [v for v in safe
-                          if self._run_through(r, v) < self.max_run]
+            candidates = [v for v, run in runs.items() if run < self.max_run]
             if candidates:
                 v = self.rng.choice(candidates)
             else:
                 # no value avoids a long run: take the least-bad one
-                v = min(safe, key=lambda v: (self._run_through(r, v), v))
-            self.table[r] = v
-            self.sibl_used[r // 10].add(v)
+                v = min(runs, key=lambda v: (runs[v], v))
+            self._set(r, v)
 
     def _prune(self, cycle: tuple[int, ...], r: int, allowed: list[int]) -> list[int]:
         if len(cycle) < 2:
@@ -385,7 +397,7 @@ class _DecimalAssembler:
             if all(self.table[x] == (x // 10) % 10 for x in others):
                 pruned = [v for v in pruned if v != middle]
         # avoid completing an equivalent set with one repeated value
-        equi = [r % 100 + k * 100 for k in range(self.d)]
+        equi = [r % 100 + k * 100 for k in range(10)]
         pending = [x for x in equi if self.table[x] == -1]
         if pending == [r]:
             values = {self.table[x] for x in equi if x != r}
@@ -414,22 +426,13 @@ def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
         attempts += 1
         if attempts > max_attempts_per_rule * count:
             raise RuntimeError("synthesis rejection rate too high")
-        asm = _DecimalAssembler(rng, max_run)
         try:
-            for singleton in stages[0]:
-                r = singleton[0]
-                asm.table[r] = rng.randbelow(10)
-                asm.sibl_used[r // 10].add(asm.table[r])
-            for stage in stages[1:]:
-                for cycle in stage:
-                    if all(asm.table[r] != -1 for r in cycle):
-                        continue
-                    asm.assign_cycle(cycle)
+            table = _DecimalAssembler(rng, max_run).assemble(stages)
         except _DeadEnd:
             continue
-        if -1 in asm.table:  # every RMT is covered by the stages
+        if -1 in table:  # every RMT is covered by the stages
             raise AssertionError("staged sets failed to cover the rule table")
-        rule = Rule(10, 3, tuple(asm.table))
+        rule = Rule(10, 3, table)
         if equivalent_sets_acceptable(rule) and verify_rule(rule):
             out.append(rule)
     return out

@@ -58,6 +58,13 @@ class TestCheck:
         assert code == 0
         assert out.strip() == "Reversible (M=21)"
 
+    def test_json(self, capsys):
+        code, out, _ = invoke(capsys, "check", "--d", "2", "--m", "3",
+                              "--rule", "01001011", "--size", "1001", "--json")
+        assert code == 0
+        assert out == ('{"size": 1001, "reversible": true, "unique_nodes": 21, '
+                       '"last_unique_level": 5}\n')
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = invoke(capsys, "check", "--d", "3", "--m", "3",
                               "--rule", "0120", "--size", "5")

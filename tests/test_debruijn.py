@@ -34,6 +34,11 @@ class TestNextConfiguration:
         with pytest.raises(ValueError):
             next_configuration(eca(90), "0120")
 
+    @pytest.mark.parametrize("cells", [(0, 3, 0), (0, -1, 0), (2,)])
+    def test_rmt_sequence_rejects_bad_state(self, cells):
+        with pytest.raises(ValueError):
+            rmt_sequence(eca(90), cells)
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_rotation_equivariance(self, data):

@@ -1,12 +1,14 @@
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringca.debruijn import fixed_point_attractors, quiescent_states
 from ringca.rules import Rule, information_flow, is_balanced, parse_rule
-from ringca.synthesis import (Lcg, StrategySpec, assignment_stages,
+from ringca.synthesis import (Lcg, StrategySpec, _DecimalAssembler,
+                              assignment_stages,
                               equivalent_sets_acceptable,
                               filter_randomness_candidates, generate_strategy,
                               permutation_of, rule_from_permutation,
@@ -59,11 +61,26 @@ class TestStrategies:
         assert all(is_balanced(r) for r in rules)
 
     def test_strategy_iii_sibling_sets_constant(self):
-        spec = StrategySpec("III", d=3, m=3, seed=12)
-        for rule in generate_strategy(spec, 10):
-            assert is_balanced(rule)
-            for j in range(9):
-                assert len({rule.table[r] for r in rule.sibling_set(j)}) == 1
+        for d in (3, 10):
+            spec = StrategySpec("III", d=d, m=3, seed=12)
+            for rule in generate_strategy(spec, 10):
+                assert is_balanced(rule)
+                for j in range(d * d):
+                    assert len({rule.table[r] for r in rule.sibling_set(j)}) == 1
+
+    def test_strategy_iii_pinned_output(self):
+        # digests of the rule strings, one per line; they pin the LCG draw
+        # order of the sampler and the clause order of the enumerator
+        def digest(rules):
+            text = "\n".join(r.string for r in rules)
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert digest(generate_strategy(StrategySpec("III", 3, seed=12), 50)) == (
+            "f61b928cefcd8e8e70fcaf61588bfd63bc30f0adf0eef70c26111801b71e0519")
+        assert digest(generate_strategy(StrategySpec("III", 5, seed=12), 50)) == (
+            "370f5620fe851600ba5f4694e0f359590aa7d72069a8ee0e08ce7a5369e44c8a")
+        assert digest(strategy_iii_rules(3)) == (
+            "46d4424cdb382af6a92dff940af3a8a40b7d189a9811e6d3fdcc2584f4aac79a")
 
     def test_determinism(self):
         spec = StrategySpec("II", d=3, m=3, seed=31)
@@ -134,6 +151,80 @@ class TestAssignmentStages:
             for cycle in stage:
                 for r, s in zip(cycle, cycle[1:] + cycle[:1]):
                     assert s // 10 == r % 100
+
+
+def _reference_run_through(table, max_run, r, v):
+    """The recursive run enumerator that the assembler's window walk
+    replaced: longest v-valued RMT walk into and out of r, each side
+    capped at 2 * max_run."""
+    cap = 2 * max_run
+
+    def extend(cur, forward, depth):
+        if depth >= cap:
+            return 0
+        best = 0
+        if forward:
+            base = (cur * 10) % 1000
+            nbrs = [base + t for t in range(10)]
+        else:
+            base = cur // 10
+            nbrs = [base + t * 100 for t in range(10)]
+        for nb in nbrs:
+            if table[nb] == v:
+                best = max(best, 1 + extend(nb, forward, depth + 1))
+        return best
+
+    return extend(r, False, 0) + 1 + extend(r, True, 0)
+
+
+def _reference_closes_bad_cycle(table, r, v):
+    """The set-based cycle closer that the window walk replaced: does some
+    constant (or, when r would self-replicate, self-replicating) RMT
+    cycle of length 2..4 run through r?"""
+    def closes(accept):
+        base = (r * 10) % 1000
+        layer = {nb for nb in (base + t for t in range(10))
+                 if nb != r and accept(nb)}
+        for _ in range(3):
+            nxt = set()
+            for cur in layer:
+                b2 = (cur * 10) % 1000
+                for nb in (b2 + t for t in range(10)):
+                    if nb == r:
+                        return True
+                    if accept(nb):
+                        nxt.add(nb)
+            layer = nxt
+        return False
+
+    if closes(lambda x: table[x] == v):
+        return True
+    if v == (r // 10) % 10:
+        return closes(lambda x: table[x] == (x // 10) % 10)
+    return False
+
+
+class TestAssemblerScans:
+    @given(st.integers(0, 2 ** 32), st.floats(0.2, 0.98), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_against_reference(self, seed, density, max_run):
+        # a partial table as synthesis leaves it: injective sibling sets,
+        # unassigned RMTs at -1
+        rnd = random.Random(seed)
+        asm = _DecimalAssembler(Lcg(seed), max_run)
+        for j in range(100):
+            values = list(range(10))
+            rnd.shuffle(values)
+            for t, v in enumerate(values):
+                if rnd.random() < density:
+                    asm._set(10 * j + t, v)
+        unassigned = [r for r in range(1000) if asm.table[r] == -1]
+        for r in rnd.sample(unassigned, min(25, len(unassigned))):
+            for v in sorted(set(range(10)) - asm.sibl_used[r // 10]):
+                assert asm._run_through(r, v) == \
+                    _reference_run_through(asm.table, max_run, r, v), (r, v)
+                assert asm._closes_bad_cycle(r, v) == \
+                    _reference_closes_bad_cycle(asm.table, r, v), (r, v)
 
 
 @pytest.fixture(scope="module")
