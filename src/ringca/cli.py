@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain error (bad rule/configuration/size),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -150,7 +151,7 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_evolve(args) -> int:
     rule = _load_rule(args)
-    for cells in engine.evolve(rule, args.start, args.steps):
+    for cells in engine.trajectory(rule, args.start, args.steps):
         print("".join(str(c) for c in cells))
     return 0
 
@@ -187,13 +188,10 @@ def _cmd_prng(args) -> int:
     seed_digits = args.seed_digits or "0" * gen.width
     gen.seed(seed_digits)
     if args.format == "decimal-lines":
-        lines = [str(gen.next()) for _ in range(args.count)]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        sink = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+        with sink as fh:
+            for _ in range(args.count):
+                fh.write(f"{gen.next()}\n")
         return 0
     spec = prng.StreamSpec(bits_per_output=gen.bits_per_output, count=args.count)
     if args.out:

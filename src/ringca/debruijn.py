@@ -10,8 +10,9 @@ non-trivial predecessors.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from functools import cache
 
 from .rules import Rule, self_replicating_rmts
 
@@ -38,26 +39,53 @@ def as_cells(config: Sequence[int] | str, d: int) -> tuple[int, ...]:
     return cells
 
 
+def ring_cells(config: Sequence[int] | str, d: int) -> tuple[int, ...]:
+    """``as_cells`` for a ring: the configuration must have a cell."""
+    cells = as_cells(config, d)
+    if not cells:
+        raise ValueError("configuration must have at least one cell")
+    return cells
+
+
+@cache
+def _window_shift(d: int, m: int) -> tuple[int, ...]:
+    """RMT r with its leftmost digit dropped, times d: the next RMT less
+    its incoming cell."""
+    wrap = d ** (m - 1)
+    return tuple(r % wrap * d for r in range(d ** m))
+
+
+def stepper(rule: Rule) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The synchronous update of ``rule`` under periodic boundary, as a
+    function that trusts its argument: a non-empty tuple of states in
+    0..d-1 (see ``ring_cells``).  Callers that step one configuration many
+    times validate it once and call this; ``next_configuration`` is the
+    checked single step."""
+    d, table, lr, rr = rule.d, rule.table, rule.lr, rule.rr
+    shift = _window_shift(d, rule.m)
+    reach = max(lr, rr)
+
+    def step(cells: tuple[int, ...]) -> tuple[int, ...]:
+        n = len(cells)
+        # head: the window of cell -1 without its leftmost digit; feed:
+        # the cell each next window takes in, cells rr, rr+1, ... mod n
+        if n > reach:
+            head = cells[n - lr:] + cells[:rr]
+            feed = cells[rr:] + cells[:rr]
+        else:  # the neighbourhood wraps the ring more than once
+            head = [cells[j % n] for j in range(-lr, rr)]
+            feed = [cells[(i + rr) % n] for i in range(n)]
+        rmt = 0
+        for c in head:
+            rmt = rmt * d + c
+        return tuple([table[rmt := shift[rmt] + c] for c in feed])
+
+    return step
+
+
 def next_configuration(rule: Rule, config: Sequence[int] | str) -> tuple[int, ...]:
     """One synchronous update of ``config`` under periodic boundary."""
-    cells = as_cells(config, rule.d)
-    n = len(cells)
-    if n < 1:
-        raise ValueError("configuration must have at least one cell")
-    d = rule.d
-    table = rule.table
-    # roll the neighborhood window around the ring: consecutive RMTs
-    # overlap in m-1 digits
-    wrap = d ** (rule.m - 1)
-    rmt = 0
-    for off in range(-rule.lr, rule.rr + 1):
-        rmt = rmt * d + cells[off % n]
-    out = [table[rmt]]
-    edge = rule.rr
-    for i in range(1, n):
-        rmt = (rmt % wrap) * d + cells[(i + edge) % n]
-        out.append(table[rmt])
-    return tuple(out)
+    return stepper(rule)(ring_cells(config, rule.d))
 
 
 def rmt_sequence(rule: Rule, config: Sequence[int] | str) -> tuple[int, ...]:

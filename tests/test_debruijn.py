@@ -34,6 +34,30 @@ class TestNextConfiguration:
         with pytest.raises(ValueError):
             next_configuration(eca(90), "0120")
 
+    @pytest.mark.parametrize("config", ["", ()])
+    def test_rejects_empty_ring(self, config):
+        with pytest.raises(ValueError, match="at least one cell"):
+            next_configuration(eca(90), config)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_all_windows_formula(self, data):
+        """Any radii, including rings shorter than the neighbourhood,
+        whose windows wrap the ring more than once."""
+        d = data.draw(st.integers(2, 4))
+        m = data.draw(st.integers(2, 5).filter(lambda m: d ** m <= 256))
+        lr = data.draw(st.integers(0, m - 1))
+        rr = m - 1 - lr
+        table = tuple(data.draw(st.lists(st.integers(0, d - 1),
+                                         min_size=d ** m, max_size=d ** m)))
+        rule = Rule(d, m, table, lr=lr)
+        n = data.draw(st.integers(1, 12))
+        cells = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
+        expected = tuple(
+            table[sum(cells[(i + off) % n] * d ** (rr - off) for off in range(-lr, rr + 1))]
+            for i in range(n))
+        assert next_configuration(rule, cells) == expected
+
     @pytest.mark.parametrize("cells", [(0, 3, 0), (0, -1, 0), (2,)])
     def test_rmt_sequence_rejects_bad_state(self, cells):
         with pytest.raises(ValueError):

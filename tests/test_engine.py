@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringca.engine import (cycle_length, default_palette, evolve,
+from ringca.debruijn import as_cells, next_configuration
+from ringca.engine import (CycleResult, cycle_length, default_palette, evolve,
                            spacetime_raster)
 from ringca.rules import Rule, eca, parse_rule
 
@@ -27,8 +30,68 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(eca(90), "012", 1)
 
+    def test_rejects_empty_ring(self):
+        with pytest.raises(ValueError, match="at least one cell"):
+            evolve(eca(90), "", 3)
+
+
+def _reference_cycle_length(rule, start, max_steps):
+    """The dict search that Brent's method replaced: remember the step of
+    every configuration seen until one repeats."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
+    cells = as_cells(start, rule.d)
+    seen = {cells: 0}
+    for step in range(1, max_steps + 1):
+        cells = next_configuration(rule, cells)
+        if cells in seen:
+            entry = seen[cells]
+            return CycleResult(
+                cycle_length=step - entry,
+                tail_length=entry,
+                truncated=False,
+                steps_used=step,
+            )
+        seen[cells] = step
+    return CycleResult(cycle_length=None, tail_length=None,
+                       truncated=True, steps_used=max_steps)
+
 
 class TestCycleLength:
+    def test_rejects_empty_ring(self):
+        with pytest.raises(ValueError, match="at least one cell"):
+            cycle_length(eca(90), "", 5)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, data):
+        d = data.draw(st.integers(2, 4))
+        m = data.draw(st.integers(2, 3))
+        table = tuple(data.draw(st.lists(st.integers(0, d - 1),
+                                         min_size=d ** m, max_size=d ** m)))
+        rule = Rule(d, m, table, lr=data.draw(st.integers(0, m - 1)))
+        n = data.draw(st.integers(1, 9))
+        start = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
+        full = _reference_cycle_length(rule, start, d ** n + 1)
+        first_repeat = full.steps_used
+        budgets = {first_repeat - 1, first_repeat, first_repeat + 1,
+                   data.draw(st.integers(1, 2 * first_repeat + 2))}
+        for max_steps in sorted(b for b in budgets if b >= 1):
+            assert (cycle_length(rule, start, max_steps)
+                    == _reference_cycle_length(rule, start, max_steps)), max_steps
+
+    def test_memory_bounded_in_steps(self):
+        # the criterion-8 orbit at n = 11: 121,275 steps, tail 0
+        rule = parse_rule(FLOW_RULE, 3, 3)
+        tracemalloc.start()
+        try:
+            result = cycle_length(rule, "0" * 10 + "1", 121_285)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.cycle_length == 121_275
+        assert peak < 1 << 20, f"peak {peak} bytes"
+
     def test_quiescent_fixed_point(self):
         rule = parse_rule(FLOW_RULE, 3, 3)
         result = cycle_length(rule, "00000", 10)
