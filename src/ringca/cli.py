@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 
 from . import debruijn, engine, prng, synthesis, tree
@@ -130,9 +131,28 @@ def _cmd_info(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _debug_to_stderr(name: str):
+    """Print the DEBUG records of logger ``name`` to stderr while the block
+    runs.  (logging is imported only here, to keep the cold start small.)"""
+    import logging
+    log = logging.getLogger(name)
+    handler = logging.StreamHandler(sys.stderr)
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(logging.NOTSET)
+
+
 def _cmd_synthesize(args) -> int:
     if args.strategy == "decimal":
-        rules = synthesis.synthesize_decimal(args.count, seed=args.seed)
+        stats = _debug_to_stderr("ringca.synthesis") if args.stats \
+            else contextlib.nullcontext()
+        with stats:
+            rules = synthesis.synthesize_decimal(args.count, seed=args.seed)
     else:
         spec = synthesis.StrategySpec(
             args.strategy, d=args.d, m=args.m, seed=args.seed,
@@ -242,6 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-reverse-flow", type=int, default=8)
     p.add_argument("--as-perm", action="store_true",
                    help="print the sibling-set-0 permutation instead")
+    p.add_argument("--stats", action="store_true",
+                   help="with --strategy decimal: print attempt, dead-end and "
+                        "rejection counts to stderr")
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("evolve", help="print a trajectory")
@@ -283,8 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "stats", False) and args.strategy != "decimal":
+        parser.error("--stats needs --strategy decimal")
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader stopped early: that ends the output, not in error.
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (RuleError, ValueError, OSError, TreeSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,9 +11,8 @@ assembles 10-state rules primary-set by primary-set.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice, permutations, product
+from itertools import permutations, product
 
 from .debruijn import (fixed_point_attractors, quiescent_states,
                        trivial_reachability)
@@ -285,9 +284,22 @@ class _DecimalAssembler:
 
     RMT r = abc is the de Bruijn edge from window ab = r // 10 to window
     bc = r % 100.  Both inner scans walk windows along the RMTs of one
-    label with :meth:`_layers`.  They only score RMTs that are still
-    unassigned; those hold -1, which matches no label, so a walk never
-    passes through the RMT being scored.
+    label, on two adjacency tables that :meth:`_set`, the one writer of
+    ``table``, keeps current:
+
+    - ``succ[v][w]``: the head window of the v-valued RMT leaving window
+      w, or -1 if there is none;
+    - ``pred[v][w]``: a 100-bit mask of the tail windows of the v-valued
+      RMTs entering w.
+
+    One ``succ`` entry per (v, w) suffices because sibling sets stay
+    injective throughout assembly (a value is only allowed if its sibling
+    set does not hold it yet): the RMTs leaving w form sibling set w, so
+    at most one of them is v-valued, and at most one self-replicating.
+    A forward walk is therefore a pointer chase; only backward walks,
+    along equivalent sets that may repeat a value, need window sets.
+    The scans only score RMTs that are still unassigned, which are in
+    neither table, so a walk never passes through the RMT being scored.
     """
 
     def __init__(self, rng: Lcg, max_run: int):
@@ -295,6 +307,8 @@ class _DecimalAssembler:
         self.max_run = max_run
         self.table = [-1] * 1000
         self.sibl_used = [set() for _ in range(100)]
+        self.succ = [[-1] * 100 for _ in range(10)]
+        self.pred = [[0] * 100 for _ in range(10)]
 
     def assemble(self, stages: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
         """Random singletons, then the later stages set by set; raises
@@ -309,59 +323,55 @@ class _DecimalAssembler:
     def _set(self, r: int, v: int) -> None:
         self.table[r] = v
         self.sibl_used[r // 10].add(v)
-
-    def _layers(self, start: int, label: int | None,
-                forward: bool) -> Iterator[set[int]]:
-        """Window sets reached from window ``start`` after 1, 2, ... steps
-        along RMTs valued ``label`` (None: self-replicating RMTs, valued
-        their middle digit), forward or backward; stops at the first empty
-        set.
-
-        There is no visited set, so a layer holds the ends of walks, in
-        which RMTs may repeat: layer k is yielded iff some such walk has
-        k RMTs.
-        """
-        table = self.table
-        layer = {start}
-        while True:
-            nxt = set()
-            for w in layer:
-                if forward:  # RMTs 10w + t, to window 10(w % 10) + t
-                    v = w % 10 if label is None else label
-                    base = 10 * (w % 10)
-                    nxt.update(base + t for t, x in
-                               enumerate(table[10 * w:10 * w + 10]) if x == v)
-                else:  # RMTs 100t + w, from window 10t + w // 10
-                    v = w // 10 if label is None else label
-                    base = w // 10
-                    nxt.update(base + 10 * t for t, x in
-                               enumerate(table[w::100]) if x == v)
-            if not nxt:
-                return
-            yield nxt
-            layer = nxt
+        self.succ[v][r // 10] = r % 100
+        self.pred[v][r % 100] |= 1 << (r // 10)
 
     def _run_through(self, r: int, v: int) -> int:
         """Longest same-value RMT walk through r if r took value v.
 
         Each side counts the longest walk of v-valued RMTs into or out of
         r, capped at 2 * max_run; walks, not paths, because an RMT may
-        repeat (r itself never does: it is unassigned).
+        repeat (r itself never does: it is unassigned).  Backward, layer
+        k is the mask of windows that start a k-RMT walk into r; forward,
+        the walk is unique.
         """
         cap = 2 * self.max_run
-        back = sum(1 for _ in islice(self._layers(r // 10, v, False), cap))
-        ahead = sum(1 for _ in islice(self._layers(r % 100, v, True), cap))
+        pred = self.pred[v]
+        back, layer = 0, 1 << (r // 10)
+        while back < cap:
+            nxt = 0
+            while layer:
+                low = layer & -layer
+                nxt |= pred[low.bit_length() - 1]
+                layer ^= low
+            if not nxt:
+                break
+            back += 1
+            layer = nxt
+        succ = self.succ[v]
+        ahead, w = 0, succ[r % 100]
+        while w >= 0 and ahead < cap:
+            ahead += 1
+            w = succ[w]
         return back + 1 + ahead
 
     def _closes_bad_cycle(self, r: int, v: int) -> bool:
         """Would value v close a constant or self-replicating cycle of
         length 2..4 through RMT r?  (Length-1 loops are the trivial
         fixed points and stay allowed.)  Such a cycle is r followed by a
-        walk of 1..3 RMTs from r's head window back to its tail window."""
-        labels = (v, None) if v == (r // 10) % 10 else (v,)
-        return any(r // 10 in layer
-                   for label in labels
-                   for layer in islice(self._layers(r % 100, label, True), 3))
+        walk of 1..3 RMTs from r's head window back to its tail window:
+        along v-valued RMTs, or, if v is r's middle digit, along
+        self-replicating ones (window w leaves by value w % 10)."""
+        tail, succ = r // 10, self.succ
+        for replicating in (False, True) if v == tail % 10 else (False,):
+            w = r % 100
+            for _ in range(3):
+                w = succ[w % 10 if replicating else v][w]
+                if w < 0:
+                    break
+                if w == tail:
+                    return True
+        return False
 
     def assign_cycle(self, cycle: tuple[int, ...]) -> None:
         todo = [r for r in cycle if self.table[r] == -1]
@@ -413,28 +423,46 @@ def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
     Values are assigned to the staged primary RMT sets in cardinality
     order, keeping sibling sets injective, avoiding constant or fully
     self-replicating sets, and capping same-value runs at ``max_run``.
-    Finished rules must pass :func:`verify_rule`; failures are discarded
-    and retried.
+    Finished rules must pass :func:`equivalent_sets_acceptable` and
+    :func:`verify_rule`; failures are discarded and retried.  Each call
+    logs its attempts, dead ends and rejections as one DEBUG record on
+    the ``ringca.synthesis`` logger.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = Lcg(seed)
     stages = assignment_stages(10)
     out: list[Rule] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > max_attempts_per_rule * count:
-            raise RuntimeError("synthesis rejection rate too high")
-        try:
-            table = _DecimalAssembler(rng, max_run).assemble(stages)
-        except _DeadEnd:
-            continue
-        if -1 in table:  # every RMT is covered by the stages
-            raise AssertionError("staged sets failed to cover the rule table")
-        rule = Rule(10, 3, table)
-        if equivalent_sets_acceptable(rule) and verify_rule(rule):
-            out.append(rule)
+    attempts = dead_ends = unequal = unverified = 0
+    try:
+        while len(out) < count:
+            if attempts >= max_attempts_per_rule * count:
+                raise RuntimeError("synthesis rejection rate too high")
+            attempts += 1
+            try:
+                table = _DecimalAssembler(rng, max_run).assemble(stages)
+            except _DeadEnd:
+                dead_ends += 1
+                continue
+            if -1 in table:  # every RMT is covered by the stages
+                raise AssertionError("staged sets failed to cover the rule table")
+            rule = Rule(10, 3, table)
+            if not equivalent_sets_acceptable(rule):
+                unequal += 1
+            elif not verify_rule(rule):
+                unverified += 1
+            else:
+                out.append(rule)
+    finally:
+        # imported here: at the top it would add about 8 ms, some 8%, to
+        # importing ringca.cli (2-core Xeon, Python 3.11.7), for a record
+        # that is silent by default
+        import logging
+        logging.getLogger(__name__).debug(
+            "synthesize_decimal(%d, seed=%d, max_run=%d): %d attempts, "
+            "%d dead ends, %d rejected by equivalent_sets_acceptable, "
+            "%d rejected by verify_rule, %d accepted", count, seed, max_run,
+            attempts, dead_ends, unequal, unverified, len(out))
     return out
 
 

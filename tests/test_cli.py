@@ -18,12 +18,16 @@ def invoke(capsys, *argv):
     return code, out.out, out.err
 
 
+def _env():
+    """Environment of a fresh interpreter that imports this checkout's ringca."""
+    src = str(Path(ringca.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def python(*argv):
     """Run a fresh interpreter that imports this checkout's ringca."""
-    src = str(Path(ringca.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=_env(), timeout=60)
 
 
 class TestClassify:
@@ -129,6 +133,24 @@ class TestSynthesize:
         perm = out.strip()
         assert code == 0
         assert sorted(perm) == list("0123456789")
+
+    def test_decimal_stats(self, capsys):
+        argv = ("synthesize", "--strategy", "decimal", "--count", "1",
+                "--seed", "2024", "--as-perm")
+        code, plain, err = invoke(capsys, *argv)
+        assert code == 0 and err == ""
+        code, out, err = invoke(capsys, *argv, "--stats")
+        assert code == 0 and out == plain
+        assert err.startswith("synthesize_decimal(1, seed=2024, max_run=3): ")
+        assert err.count("\n") == 1 and "1 accepted" in err
+        # the handler is gone again
+        assert invoke(capsys, *argv)[2] == ""
+
+    def test_stats_needs_decimal(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["synthesize", "--strategy", "II", "--stats"])
+        assert exc.value.code == 2
+        assert "--stats needs --strategy decimal" in capsys.readouterr().err
 
 
 class TestEvolveAndCycle:
@@ -268,3 +290,27 @@ class TestEntryPoints:
         proc = python("-c", "import sys, ringca.cli; "
                             "print('networkx' in sys.modules)")
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+    def test_no_logging_import(self):
+        # the synthesis counters import logging only when they are logged
+        proc = python("-c", "import sys, ringca.cli; "
+                            "print('logging' in sys.modules)")
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("argv", [
+        ("evolve", "--d", "2", "--m", "3", "--rule", "01101110",
+         "--start", "0000000001", "--steps", "100000"),
+        ("prng", "--scheme", "dec", "--perm", "8135940672", "--width", "3",
+         "--count", "100000", "--format", "decimal-lines"),
+    ])
+    def test_reader_closes_pipe_early(self, argv):
+        # the output is far larger than a pipe buffer, so the verb is
+        # still writing when the reader goes away; it stops quietly
+        proc = subprocess.Popen([sys.executable, "-m", "ringca.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=_env())
+        assert proc.stdout.readline().strip()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()

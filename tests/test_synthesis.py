@@ -1,13 +1,16 @@
 import hashlib
+import logging
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringca.debruijn import fixed_point_attractors, quiescent_states
 from ringca.rules import Rule, information_flow, is_balanced, parse_rule
-from ringca.synthesis import (Lcg, StrategySpec, _DecimalAssembler,
+from ringca import synthesis
+from ringca.synthesis import (Lcg, StrategySpec, _DeadEnd, _DecimalAssembler,
                               assignment_stages,
                               equivalent_sets_acceptable,
                               filter_randomness_candidates, generate_strategy,
@@ -227,6 +230,77 @@ class TestAssemblerScans:
                     _reference_closes_bad_cycle(asm.table, r, v), (r, v)
 
 
+def _rebuilt_adjacency(table):
+    """The assembler's successor and predecessor tables, built afresh
+    from a (partial) rule table."""
+    succ = [[-1] * 100 for _ in range(10)]
+    pred = [[0] * 100 for _ in range(10)]
+    for r, v in enumerate(table):
+        if v >= 0:
+            succ[v][r // 10] = r % 100
+            pred[v][r % 100] |= 1 << (r // 10)
+    return succ, pred
+
+
+class TestAssemblerTables:
+    def test_tables_match_rule_table(self):
+        # every attempt of synthesize_decimal(6, seed=20260811), dead ends
+        # included: the pointer chase needs injective sibling sets and
+        # tables that follow `table`
+        rng, stages = Lcg(20260811), assignment_stages(10)
+        dead_ends = finished = 0
+        while finished < 6:
+            asm = _DecimalAssembler(rng, 3)
+            try:
+                asm.assemble(stages)
+                finished += 1
+            except _DeadEnd:
+                dead_ends += 1
+            assert (asm.succ, asm.pred) == _rebuilt_adjacency(asm.table)
+            for j in range(100):
+                values = [asm.table[r] for r in range(10 * j, 10 * j + 10)
+                          if asm.table[r] >= 0]
+                assert len(set(values)) == len(values)
+                assert asm.sibl_used[j] == set(values)
+        assert dead_ends == 31
+
+
+def _stats(caplog, *args, **kwargs):
+    """The counters that one synthesize_decimal call logs."""
+    with caplog.at_level(logging.DEBUG, logger="ringca.synthesis"):
+        rules = synthesize_decimal(*args, **kwargs)
+    (record,) = [r for r in caplog.records if r.name == "ringca.synthesis"]
+    assert record.levelno == logging.DEBUG
+    counts = re.search(r"(\d+) attempts, (\d+) dead ends, (\d+) rejected by "
+                       r"equivalent_sets_acceptable, (\d+) rejected by "
+                       r"verify_rule, (\d+) accepted", record.getMessage())
+    return rules, tuple(int(c) for c in counts.groups())
+
+
+class TestSynthesisStats:
+    def test_seeded_counts(self, caplog):
+        rules, counts = _stats(caplog, 6, seed=20260811)
+        assert len(rules) == 6
+        assert counts == (37, 31, 0, 0, 6)
+
+    def test_rejections_counted(self, caplog, monkeypatch):
+        # reject the first finished rule by each test in turn
+        verdicts = {"equivalent_sets_acceptable": [False],
+                    "verify_rule": [False]}
+        for name, queue in verdicts.items():
+            real = getattr(synthesis, name)
+            monkeypatch.setattr(synthesis, name, lambda rule, real=real, queue=queue:
+                                queue.pop() if queue else real(rule))
+        rules, (attempts, dead_ends, unequal, unverified, accepted) = \
+            _stats(caplog, 1, seed=6)
+        assert (unequal, unverified, accepted) == (1, 1, 1) and len(rules) == 1
+        assert attempts == dead_ends + 3
+
+    def test_silent_by_default(self, capsys):
+        synthesize_decimal(1, seed=6)
+        assert capsys.readouterr().err == ""
+
+
 @pytest.fixture(scope="module")
 def decimal_rules():
     return synthesize_decimal(8, seed=2024)
@@ -263,6 +337,12 @@ class TestSynthesizeDecimal:
         digest = hashlib.sha256("\n".join(r.string for r in rules).encode())
         assert digest.hexdigest() == (
             "e6a2d81e19d41004e9f20aa68dce13784bc04f4fd36fcabdb7c37b4278081b12")
+
+    def test_pinned_output_longer_runs(self):
+        rules = synthesize_decimal(2, seed=7, max_run=4)
+        digest = hashlib.sha256("\n".join(r.string for r in rules).encode())
+        assert digest.hexdigest() == (
+            "0443fccf3052f992656e7c0c290e34ac5417d1f394e94ba07af539dbc710396a")
 
     def test_no_short_constant_cycles(self, rules):
         # constant cycles up to the staged cardinality cap never survive
