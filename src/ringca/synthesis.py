@@ -430,6 +430,10 @@ def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if max_run < 1:
+        raise ValueError("max_run must be at least 1")
+    if max_attempts_per_rule < 1:
+        raise ValueError("max_attempts_per_rule must be at least 1")
     rng = Lcg(seed)
     stages = assignment_stages(10)
     out: list[Rule] = []

@@ -28,10 +28,14 @@ conditions count.  One rule's tree holds few distinct slot contents (about
 nodes), so each gets a small int id, and a node is stored as the tuple of
 its slot ids.  Per-rule slot tables, filled on first use and kept for one
 ``check_reversible`` or ``classify`` call, map an id to its child along
-each branch, to its restriction at each last level, and to its d
-per-value RMT counts packed into one int: a node is balanced with the
-right total t exactly when its slots' packed counts sum to t/d in every
-field.
+each branch and to its d per-value RMT counts packed into one int, with
+fields wide enough that a node's sum never carries: a node is balanced
+with the right total t exactly when its slots' packed counts sum to t/d
+in every field.  One more table per slot index packs, next to those
+counts, the counts of the slot's restriction to every last level, one
+field group per level, so judging a unique node is one sum over its
+slots.  Restrictions themselves, which only the walk below level
+n - m + 1 needs, come from per-slot tables of the same kind.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from operator import getitem
 
 from .rules import Rule, is_balanced
 
@@ -78,6 +83,13 @@ class _Context:
     its packed per-value RMT counts are computed then, and its child along
     a branch on first request, so a rule's tree expands and counts each
     distinct slot content at most once.
+
+    ``judge[k]`` maps the id held in slot k to one int of m field groups:
+    group 0 holds the d value counts of the full content, group iota
+    (1 <= iota <= m-1) those of its restriction to level n - iota.  A
+    node's verdict is one sum per unique node,
+    ``sum(map(getitem, judge, gamma))``: its group 0 must read d^m RMTs,
+    balanced, and each group iota d^iota, or the node fails at n - iota.
     """
 
     def __init__(self, rule: Rule):
@@ -97,6 +109,12 @@ class _Context:
         # wide enough that a node's sum never carries from one to the next
         self.width = (self.num_sets * self.num_rmts).bit_length() + 1
         self.ones = sum(1 << (v * self.width) for v in range(d))
+        self.group = d * self.width  # shift from one field group to the next
+        self.group_mask = (1 << self.group) - 1
+        # the judge total of a node that passes everywhere: d^m RMTs in
+        # group 0, d^iota in group iota, equally many of every value
+        self.passing = sum((d ** (iota - 1) if iota else self.num_sets)
+                           * self.ones << (iota * self.group) for iota in range(m))
         self.masks: list[int] = []  # slot id -> RMT bitmask
         self.ids: dict[int, int] = {}  # RMT bitmask -> slot id
         self.code: list[int] = []  # slot id -> packed value counts
@@ -115,9 +133,12 @@ class _Context:
                     mask |= 1 << (i + j * step)
                 per_slot.append(mask)
             self.valid[iota] = per_slot
-        # (slot index, slot id) -> restricted slot id, one table per iota
-        self.restricted = [None] + [_SlotTable(partial(self._restrict, iota))
-                                    for iota in range(1, m)]
+        # per slot index: slot id -> restricted slot id, one list per iota
+        self.restricted = [None] + [
+            [_SlotTable(partial(self._restrict, valid)) for valid in self.valid[iota]]
+            for iota in range(1, m)]
+        # per slot index: slot id -> packed counts of every field group
+        self.judge = [_SlotTable(partial(self._judge, k)) for k in range(self.num_sets)]
 
     def intern(self, mask: int) -> int:
         """Slot id of one slot's RMT bitmask."""
@@ -140,10 +161,18 @@ class _Context:
             bits ^= low
         return self.intern(out)
 
-    def _restrict(self, iota: int, key: tuple[int, int]) -> int:
-        """Id of content ``key[1]`` of slot ``key[0]`` at level n - iota."""
-        k, sid = key
-        return self.intern(self.masks[sid] & self.valid[iota][k])
+    def _restrict(self, valid: int, sid: int) -> int:
+        """Id of content ``sid`` cut down to the ``valid`` RMTs of its slot."""
+        return self.intern(self.masks[sid] & valid)
+
+    def _judge(self, k: int, sid: int) -> int:
+        """Packed counts of content ``sid`` in slot k, all field groups."""
+        mask = self.masks[sid]
+        out = self.code[sid]
+        for iota in range(1, self.m):
+            restricted = self.intern(mask & self.valid[iota][k])
+            out += self.code[restricted] << (iota * self.group)
+        return out
 
     def root(self) -> tuple[int, ...]:
         block = (1 << self.d) - 1
@@ -155,21 +184,22 @@ class _Context:
 
     def restrict(self, gamma: tuple[int, ...], iota: int) -> tuple[int, ...]:
         """Intersect each set slot with the valid RMTs of level n - iota."""
-        return tuple(map(self.restricted[iota].__getitem__, enumerate(gamma)))
+        return tuple(map(getitem, self.restricted[iota], gamma))
 
     def node_ok(self, gamma: tuple[int, ...], required_total: int) -> bool:
         """``required_total`` RMTs in all, equally many for every value."""
         return (sum(map(self.code.__getitem__, gamma))
                 == (required_total // self.d) * self.ones)
 
-    def bad_iotas(self, gamma: tuple[int, ...]) -> frozenset[int]:
-        """Which last-level placements this node content would violate."""
-        bad = []
-        for iota in range(1, self.m):
-            restricted = self.restrict(gamma, iota)
-            if not self.node_ok(restricted, self.d ** iota):
-                bad.append(iota)
-        return frozenset(bad)
+    def verdict(self, gamma: tuple[int, ...]) -> tuple[bool, frozenset[int]]:
+        """Whether the node passes the generic balance and d^m count, and
+        at which last levels n - iota its restricted content would fail."""
+        diff = sum(map(getitem, self.judge, gamma)) ^ self.passing
+        if not diff:
+            return True, frozenset()
+        mask = self.group_mask
+        return not diff & mask, frozenset(
+            iota for iota in range(1, self.m) if diff >> (iota * self.group) & mask)
 
 
 # -- public node operations (set-of-frozensets view) ------------------------
@@ -270,9 +300,9 @@ class _Builder:
     ``on_change(uid)`` fires after a node's occurrence claims grow (creation
     included); raising from it aborts construction.  Node content is judged
     once, in ``_new_node``: equal nodes root equal subtrees, so a node met
-    again needs no second look.  Subclasses judge the generic condition in
-    a ``_new_node`` override, before the node is appended; the fixed-size
-    check rejects a violating node there, so it is not counted in M.
+    again needs no second look.  A node failing the generic condition is
+    reported to ``_generic_violation`` before it is appended; the
+    fixed-size check rejects it there, so it is not counted in M.
     """
 
     def __init__(self, rule: Rule, on_change):
@@ -285,26 +315,27 @@ class _Builder:
 
     def _new_node(self, gamma, levels: set[int], self_loop: bool,
                   created_level: int, parent: _Node | None = None) -> int:
-        if len(self.nodes) >= _MAX_NODES:
-            raise TreeSizeError(f"more than {_MAX_NODES} unique nodes")
         uid = len(self.nodes)
+        generic_ok, bad_iotas = self.ctx.verdict(gamma)
+        if not generic_ok:
+            self._generic_violation(uid, created_level)
+        if uid >= _MAX_NODES:
+            raise TreeSizeError(f"more than {_MAX_NODES} unique nodes")
         claims = _state_claims(levels, self_loop)
         if parent is not None:
             # level overwrites may have dropped early parent occurrences;
             # the accumulated claims still carry them, shifted one level down
             claims |= {(s + 1, p) for s, p in parent.claims}
-        node = _Node(
-            gamma,
-            levels,
-            claims,
-            self_loop,
-            self.ctx.bad_iotas(gamma),
-            created_level,
-        )
+        node = _Node(gamma, levels, claims, self_loop, bad_iotas, created_level)
         self.nodes.append(node)
         self.index[gamma] = uid
         self.on_change(uid)
         return uid
+
+    def _generic_violation(self, uid: int, created_level: int) -> None:
+        """Node ``uid``, about to be created, fails the generic balance and
+        d^m count; raising here keeps it out of the tree."""
+        raise NotImplementedError
 
     def _record_occurrence(self, uid: int, i: int) -> None:
         """Apply the loop-relevance rules for a re-occurrence at level i."""
@@ -447,12 +478,9 @@ class _FixedSizeBuilder(_Builder):
         super().__init__(rule, self._verify)
         self.n = n
 
-    def _new_node(self, gamma, levels: set[int], self_loop: bool,
-                  created_level: int, parent: _Node | None = None) -> int:
-        if created_level <= self.n - self.ctx.m and not self.ctx.node_ok(
-                gamma, self.ctx.num_rmts):
+    def _generic_violation(self, uid: int, created_level: int) -> None:
+        if created_level <= self.n - self.ctx.m:
             raise _IrreversibleFound
-        return super()._new_node(gamma, levels, self_loop, created_level, parent)
 
     def _verify(self, uid: int) -> None:
         nd = self.nodes[uid]
@@ -601,11 +629,8 @@ class _ClassifyBuilder(_Builder):
         self.progressions: set[IrrevExpression] = set()
         self.singles: set[int] = set()
 
-    def _new_node(self, gamma, levels: set[int], self_loop: bool,
-                  created_level: int, parent: _Node | None = None) -> int:
-        if not self.ctx.node_ok(gamma, self.ctx.num_rmts):
-            self.generic_bad.add(len(self.nodes))
-        return super()._new_node(gamma, levels, self_loop, created_level, parent)
+    def _generic_violation(self, uid: int, created_level: int) -> None:
+        self.generic_bad.add(uid)
 
     def _collect(self, uid: int) -> None:
         nd = self.nodes[uid]

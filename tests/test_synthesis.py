@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ringca.debruijn import fixed_point_attractors, quiescent_states
 from ringca.rules import Rule, information_flow, is_balanced, parse_rule
@@ -229,6 +229,45 @@ class TestAssemblerScans:
                 assert asm._closes_bad_cycle(r, v) == \
                     _reference_closes_bad_cycle(asm.table, r, v), (r, v)
 
+    @given(st.lists(st.integers(0, 9), min_size=2, max_size=4),
+           st.integers(0, 3), st.integers(0, 2 ** 32), st.floats(0.0, 0.9))
+    @settings(max_examples=100, deadline=None)
+    def test_self_replicating_cycles(self, digits, at, seed, density):
+        # an elementary 2-, 3- or 4-RMT de Bruijn cycle whose RMTs all
+        # replicate their middle digit except r, still unassigned: value
+        # v = r's middle digit would close it
+        n = len(digits)
+        windows = [10 * digits[i] + digits[(i + 1) % n] for i in range(n)]
+        assume(len(set(windows)) == n)
+        cycle = [10 * windows[i] + digits[(i + 2) % n] for i in range(n)]
+        r = cycle[at % n]
+        v = (r // 10) % 10
+        # a random partial table around it, sibling sets kept injective
+        rnd = random.Random(seed)
+        table = [-1] * 1000
+        for j in range(100):
+            values = list(range(10))
+            rnd.shuffle(values)
+            for t, value in enumerate(values):
+                if rnd.random() < density:
+                    table[10 * j + t] = value
+        for x in cycle:
+            value = (x // 10) % 10
+            for y in range(x // 10 * 10, x // 10 * 10 + 10):
+                if table[y] == value:
+                    table[y] = -1
+            table[x] = value
+        table[r] = -1  # v is now free in r's sibling set
+        asm = _DecimalAssembler(Lcg(seed), 3)
+        for x, value in enumerate(table):
+            if value >= 0:
+                asm._set(x, value)
+        assert _reference_closes_bad_cycle(table, r, v)
+        assert asm._closes_bad_cycle(r, v)
+        for w in sorted(set(range(10)) - asm.sibl_used[r // 10]):
+            assert asm._closes_bad_cycle(r, w) == \
+                _reference_closes_bad_cycle(table, r, w), w
+
 
 def _rebuilt_adjacency(table):
     """The assembler's successor and predecessor tables, built afresh
@@ -337,6 +376,16 @@ class TestSynthesizeDecimal:
         digest = hashlib.sha256("\n".join(r.string for r in rules).encode())
         assert digest.hexdigest() == (
             "e6a2d81e19d41004e9f20aa68dce13784bc04f4fd36fcabdb7c37b4278081b12")
+
+    @pytest.mark.parametrize("limit", [{"max_run": 0}, {"max_run": -2},
+                                       {"max_attempts_per_rule": 0}])
+    def test_rejects_limits_below_one(self, limit, monkeypatch):
+        # refused before the generator is drawn from, not after a search
+        def no_draw(self):
+            raise AssertionError("drew from the generator")
+        monkeypatch.setattr(Lcg, "next_u32", no_draw)
+        with pytest.raises(ValueError, match=next(iter(limit))):
+            synthesize_decimal(1, seed=6, **limit)
 
     def test_pinned_output_longer_runs(self):
         rules = synthesize_decimal(2, seed=7, max_run=4)

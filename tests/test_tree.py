@@ -1,5 +1,6 @@
 import json
 import random
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +114,14 @@ def reference_ok(counts, total):
     return sum(counts) == total and len(set(counts)) == 1
 
 
+def unpack_groups(total, d, groups, width):
+    """A packed total read as ``groups`` groups of d fields of ``width``
+    bits each, group after group."""
+    field = (1 << width) - 1
+    return [[total >> ((g * d + v) * width) & field for v in range(d)]
+            for g in range(groups)]
+
+
 class TestSlotTables:
     """Memoized per-slot node operations against literal references."""
 
@@ -153,8 +162,7 @@ class TestSlotTables:
             tests = totals | {sum(counts) - sum(counts) % d}
             children = [reference_child(rule, masks, b) for b in range(d)]
             restricted = [reference_restrict(rule, masks, i) for i in range(1, m)]
-            bad = {i for i in range(1, m)
-                   if not reference_ok(reference_counts(rule, restricted[i - 1]), d ** i)}
+            groups = [counts] + [reference_counts(rule, g) for g in restricted]
             for ctx in (shared, _Context(rule)):
                 gamma = tuple(map(ctx.intern, masks))
                 for t in tests:
@@ -164,7 +172,34 @@ class TestSlotTables:
                 for i in range(1, m):
                     assert ([ctx.masks[s] for s in ctx.restrict(gamma, i)]
                             == restricted[i - 1])
-                assert ctx.bad_iotas(gamma) == bad
+                self.check_judge(ctx, gamma, groups)
+
+    @staticmethod
+    def check_judge(ctx, gamma, groups):
+        """The node's packed total holds the reference counts of the full
+        content (group 0) and of each last level (group iota), with no
+        carry between fields or groups, and its verdict follows them."""
+        d, m = ctx.d, ctx.m
+        total = sum(map(getitem, ctx.judge, gamma))
+        assert total >> (m * d * ctx.width) == 0
+        assert unpack_groups(total, d, m, ctx.width) == groups
+        bad = {i for i in range(1, m) if not reference_ok(groups[i], d ** i)}
+        assert ctx.verdict(gamma) == (reference_ok(groups[0], d ** m), bad)
+
+    @pytest.mark.parametrize("rule", [
+        Rule(4, 4, tuple(r % 4 for r in range(4 ** 4))),
+        rule_from_permutation(PERMUTATION_RULES[0]),
+    ], ids=["d4m4", "d10m3"])
+    def test_saturated_slots(self, rule):
+        # every slot holds all d^m RMTs: each field of the total takes its
+        # largest possible count, so any carry would show
+        d, m = rule.d, rule.m
+        masks = [(1 << d ** m) - 1] * d ** (m - 1)
+        groups = [reference_counts(rule, masks)] + [
+            reference_counts(rule, reference_restrict(rule, masks, i))
+            for i in range(1, m)]
+        ctx = _Context(rule)
+        self.check_judge(ctx, tuple(map(ctx.intern, masks)), groups)
 
 
 class TestCheckReversible:
