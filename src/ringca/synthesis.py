@@ -422,7 +422,9 @@ def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
 
     Values are assigned to the staged primary RMT sets in cardinality
     order, keeping sibling sets injective, avoiding constant or fully
-    self-replicating sets, and capping same-value runs at ``max_run``.
+    self-replicating sets, and keeping same-value runs shorter than
+    ``max_run`` where a value allows it (a run through an RMT counts the
+    RMT itself, so ``max_run`` must be at least 2).
     Finished rules must pass :func:`equivalent_sets_acceptable` and
     :func:`verify_rule`; failures are discarded and retried.  Each call
     logs its attempts, dead ends and rejections as one DEBUG record on
@@ -430,8 +432,8 @@ def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if max_run < 1:
-        raise ValueError("max_run must be at least 1")
+    if max_run < 2:
+        raise ValueError("max_run must be at least 2")
     if max_attempts_per_rule < 1:
         raise ValueError("max_attempts_per_rule must be at least 1")
     rng = Lcg(seed)

@@ -18,8 +18,11 @@ irreversible.
 
 Each unique node is judged once, when it is created: whether it fails the
 generic balance and d^m count, and at which last levels n - iota its
-restricted content would fail.  A re-occurrence only grows the node's
-occurrence claims, which are tested against those stored verdicts.
+restricted content would fail.  Both judgements surface as progressions
+of irreversible ring sizes, the same (start, period) type as the node's
+occurrence claims: a generic failure as every size from its first level
+plus m on, a bad last level iota as each claim shifted by iota, reported
+again whenever a re-occurrence grows the claims.
 
 A slot's content is an integer bitmask over the d^m RMTs; RMT multiplicity
 across the d^(m-1) set slots is what the balance and cardinality
@@ -253,26 +256,34 @@ def restrict_last_levels(node: TreeNode, rule: Rule, iota: int) -> TreeNode:
 
 
 class _Node:
-    __slots__ = ("gamma", "levels", "self_loop", "children", "created_level",
-                 "claims", "bad_iotas")
+    __slots__ = ("gamma", "levels", "children", "created_level", "claims",
+                 "bad_iotas")
 
-    def __init__(self, gamma, levels, claims, self_loop, bad_iotas,
-                 created_level):
+    def __init__(self, gamma, levels, claims, bad_iotas, created_level):
         self.gamma = gamma
-        self.levels: set[int] = set(levels)
-        self.self_loop = self_loop
+        self.levels: set[int] = levels
         self.children: list[int] | None = None
         self.created_level = created_level  # construction pass of discovery
-        # occurrence claims accumulated over every level-set state:
-        # (start, 0) single level, (start, 1) every level >= start,
-        # (start, L) arithmetic progression start + j*L.
-        self.claims: set[tuple[int, int]] = set(claims)
+        # occurrence claims accumulated over every level-set state, as
+        # progressions (see ``_covers``)
+        self.claims: set[tuple[int, int]] = claims
         self.bad_iotas = bad_iotas
 
 
-def _state_claims(levels: set[int], self_loop: bool) -> set[tuple[int, int]]:
+def _covers(progressions, p: int) -> bool:
+    """Whether one of the (start, period) progressions holds ``p``: period
+    0 is the single point start, period 1 every p >= start, and period L
+    the points start + j*L."""
+    for start, period in progressions:
+        if p == start or period and p > start and (p - start) % period == 0:
+            return True
+    return False
+
+
+def _state_claims(levels: set[int]) -> set[tuple[int, int]]:
+    """Claims of one level set; {q, q + 1} is a self-loop, every level >= q."""
     q = min(levels)
-    if self_loop:
+    if q + 1 in levels:
         return {(q, 1)}
     claims = {(q, 0)}
     for l in levels:
@@ -281,88 +292,84 @@ def _state_claims(levels: set[int], self_loop: bool) -> set[tuple[int, int]]:
     return claims
 
 
-def _claims_cover(claims: set[tuple[int, int]], p: int) -> bool:
-    for start, period in claims:
-        if period == 0:
-            if p == start:
-                return True
-        elif period == 1:
-            if p >= start:
-                return True
-        elif p >= start and (p - start) % period == 0:
-            return True
-    return False
-
-
 class _Builder:
     """Shared minimized-tree construction with loop bookkeeping.
 
-    ``on_change(uid)`` fires after a node's occurrence claims grow (creation
-    included); raising from it aborts construction.  Node content is judged
-    once, in ``_new_node``: equal nodes root equal subtrees, so a node met
-    again needs no second look.  A node failing the generic condition is
-    reported to ``_generic_violation`` before it is appended; the
-    fixed-size check rejects it there, so it is not counted in M.
+    Node content is judged once, in ``_new_node``: equal nodes root equal
+    subtrees, so a node met again needs no second look.  Every judgement
+    reaches the one hook ``_found(sizes)`` as (start, period) progressions
+    of ring sizes at which the CA is irreversible; raising from it aborts
+    construction.  A node failing the generic condition reports
+    ``(created_level + m, 1)`` before it is appended, so a fixed-size check
+    that stops there does not count it in M.  A node with bad last levels
+    reports ``(s + iota, p)`` for each claim (s, p) and bad iota whenever
+    its claims grow, creation included.
+
+    Two invariants make these reports complete:
+
+    - a node's claims always contain the claims of its current level set
+      (``_state_claims``), so a new node's claims are just its parent's
+      shifted one level;
+    - a node's smallest claim start equals its ``created_level``, because
+      every recorded level is at least the node's BFS depth; the generic
+      failure of a node, wherever it recurs, is therefore the one tail
+      ``(created_level + m, 1)``.
     """
 
-    def __init__(self, rule: Rule, on_change):
+    def __init__(self, rule: Rule):
         self.ctx = _Context(rule)
         self.nodes: list[_Node] = []
         self.index: dict[tuple[int, ...], int] = {}
-        self.on_change = on_change
+
+    def _found(self, sizes) -> None:
+        """The CA is irreversible at every size of the (start, period)
+        progressions in ``sizes``, a one-pass iterable; raising here stops
+        construction."""
+        raise NotImplementedError
 
     # -- node bookkeeping -------------------------------------------------
 
-    def _new_node(self, gamma, levels: set[int], self_loop: bool,
-                  created_level: int, parent: _Node | None = None) -> int:
+    def _new_node(self, gamma, levels: set[int], claims: set[tuple[int, int]],
+                  created_level: int) -> int:
         uid = len(self.nodes)
         generic_ok, bad_iotas = self.ctx.verdict(gamma)
         if not generic_ok:
-            self._generic_violation(uid, created_level)
+            self._found(((created_level + self.ctx.m, 1),))
         if uid >= _MAX_NODES:
             raise TreeSizeError(f"more than {_MAX_NODES} unique nodes")
-        claims = _state_claims(levels, self_loop)
-        if parent is not None:
-            # level overwrites may have dropped early parent occurrences;
-            # the accumulated claims still carry them, shifted one level down
-            claims |= {(s + 1, p) for s, p in parent.claims}
-        node = _Node(gamma, levels, claims, self_loop, bad_iotas, created_level)
+        node = _Node(gamma, levels, claims, bad_iotas, created_level)
         self.nodes.append(node)
         self.index[gamma] = uid
-        self.on_change(uid)
+        self._claims_grew(node)
         return uid
 
-    def _generic_violation(self, uid: int, created_level: int) -> None:
-        """Node ``uid``, about to be created, fails the generic balance and
-        d^m count; raising here keeps it out of the tree."""
-        raise NotImplementedError
+    def _claims_grew(self, nd: _Node) -> None:
+        if nd.bad_iotas:
+            self._found((s + iota, p) for iota in nd.bad_iotas for s, p in nd.claims)
 
     def _record_occurrence(self, uid: int, i: int) -> None:
         """Apply the loop-relevance rules for a re-occurrence at level i."""
         nd = self.nodes[uid]
         if i in nd.levels:
             return
-        if i < min(nd.levels):
+        q = min(nd.levels)
+        if i < q:
             # level overwrites may have raised the minimum; keep the level
             # set anchored to the loop tail and record the point on its own
             if (i, 0) not in nd.claims:
                 nd.claims.add((i, 0))
-                self.on_change(uid)
+                self._claims_grew(nd)
                 self._update_subtree(uid)
             return
         if len(nd.levels) == 1:
             nd.levels.add(i)
-            if i - min(nd.levels) == 1:
-                nd.self_loop = True
             self._changed(uid)
             return
-        if nd.self_loop:
-            return
-        q = min(nd.levels)
+        if q + 1 in nd.levels:
+            return  # a self-loop already holds every level from q on
         new_loop = i - q
         if new_loop == 1:
             nd.levels = {i - 1, i}
-            nd.self_loop = True
             self._changed(uid)
             return
         for l in sorted(nd.levels):
@@ -374,7 +381,6 @@ class _Builder:
                 return  # old loop prevails; the new one adds nothing
             if old_loop == 2 and g == 1:
                 nd.levels = {i - 1, i}  # loop 2 + odd loop: every level
-                nd.self_loop = True
                 self._changed(uid)
                 return
             if g > 1:
@@ -387,10 +393,10 @@ class _Builder:
     def _changed(self, uid: int) -> None:
         nd = self.nodes[uid]
         before = len(nd.claims)
-        nd.claims |= _state_claims(nd.levels, nd.self_loop)
+        nd.claims |= _state_claims(nd.levels)
         if len(nd.claims) == before:
             return  # nothing new to propagate; also breaks link cycles
-        self.on_change(uid)
+        self._claims_grew(nd)
         self._update_subtree(uid)
 
     def _update_subtree(self, uid: int) -> None:
@@ -400,10 +406,10 @@ class _Builder:
             return
         for c in set(nd.children):
             child = self.nodes[c]
-            if nd.self_loop and not child.self_loop:
-                base = min(nd.levels) + 1
+            base = min(nd.levels) + 1
+            if base in nd.levels and min(child.levels) + 1 not in child.levels:
+                # a self-loop makes every child a self-loop one level down
                 child.levels = {base, base + 1}
-                child.self_loop = True
                 self._changed(c)
                 continue
             for l in sorted(nd.levels):
@@ -417,7 +423,7 @@ class _Builder:
         ``stop_check(level)`` may end construction early once the caller
         has gathered enough evidence.
         """
-        self._new_node(self.ctx.root(), {0}, False, created_level=0)
+        self._new_node(self.ctx.root(), {0}, {(0, 0)}, created_level=0)
         frontier = [0]
         i = 1
         while frontier and (stop_level is None or i <= stop_level):
@@ -431,9 +437,9 @@ class _Builder:
                     gamma = self.ctx.child(parent.gamma, branch)
                     uid = self.index.get(gamma)
                     if uid is None:
-                        levels = {l + 1 for l in parent.levels}
-                        uid = self._new_node(gamma, levels, parent.self_loop,
-                                             created_level=i, parent=parent)
+                        uid = self._new_node(
+                            gamma, {l + 1 for l in parent.levels},
+                            {(s + 1, p) for s, p in parent.claims}, created_level=i)
                         next_frontier.append(uid)
                     else:
                         for l in sorted(parent.levels):
@@ -442,7 +448,6 @@ class _Builder:
                 parent.children = children
             frontier = next_frontier
             i += 1
-        self.final_frontier = frontier
 
     # -- stats -------------------------------------------------------------
 
@@ -452,9 +457,8 @@ class _Builder:
 
     @property
     def last_unique_level(self) -> int | None:
-        if not self.nodes:
-            return None
-        return max(nd.created_level for nd in self.nodes)
+        # nodes are appended level by level
+        return self.nodes[-1].created_level if self.nodes else None
 
 
 # ---------------------------------------------------------------------------
@@ -475,34 +479,25 @@ class _IrreversibleFound(Exception):
 
 class _FixedSizeBuilder(_Builder):
     def __init__(self, rule: Rule, n: int):
-        super().__init__(rule, self._verify)
+        super().__init__(rule)
         self.n = n
 
-    def _generic_violation(self, uid: int, created_level: int) -> None:
-        if created_level <= self.n - self.ctx.m:
+    def _found(self, sizes) -> None:
+        if _covers(sizes, self.n):
             raise _IrreversibleFound
-
-    def _verify(self, uid: int) -> None:
-        nd = self.nodes[uid]
-        for iota in nd.bad_iotas:
-            if _claims_cover(nd.claims, self.n - iota):
-                raise _IrreversibleFound
 
     def final_checks(self) -> None:
         """Walk the last m - 2 levels below level n - m + 1.
 
-        Claims need no re-sweep here: ``_verify`` tests them every time they
-        grow.  Construction stops at level n - m + 1 (the pinned M values
-        count the nodes built up to there), so the restricted contents of
-        levels n - m + 2 .. n - 1 are derived by this explicit walk.
+        Construction stops at level n - m + 1 (the pinned M values count
+        the nodes built up to there), so the restricted contents of levels
+        n - m + 2 .. n - 1 are derived by this explicit walk.
         """
         n, m = self.n, self.ctx.m
-        if not self.final_frontier:
-            return
         # level n - m + 1 itself was judged through the claims
         current = {
             self.ctx.restrict(nd.gamma, m - 1)
-            for nd in self.nodes if _claims_cover(nd.claims, n - m + 1)
+            for nd in self.nodes if _covers(nd.claims, n - m + 1)
         }
         for iota in range(m - 2, 0, -1):
             nxt = set()
@@ -614,8 +609,9 @@ def merge_expressions(expressions) -> tuple[IrrevExpression, ...]:
 class _ClassifyBuilder(_Builder):
     """Collects irreversibility evidence while the tree grows.
 
-    Evidence forms: ``tails`` (irreversible for every n >= t), arithmetic
-    ``progressions``, and isolated ``singles``.  Once the evidence covers a
+    ``evidence`` holds every (start, period) progression of irreversible
+    sizes reported so far: single sizes, tails (irreversible for every
+    n >= start) and arithmetic progressions.  Once the evidence covers a
     tail {n >= B}, construction may stop after level B - 2: every special
     level n - iota of every smaller size has been built and checked, and
     any occurrence discovered later sits beyond the horizon, affecting only
@@ -623,50 +619,22 @@ class _ClassifyBuilder(_Builder):
     """
 
     def __init__(self, rule: Rule):
-        super().__init__(rule, self._collect)
-        self.generic_bad: set[int] = set()  # uids failing balance/d^m
-        self.tails: set[int] = set()
-        self.progressions: set[IrrevExpression] = set()
-        self.singles: set[int] = set()
+        super().__init__(rule)
+        self.evidence: set[tuple[int, int]] = set()
 
-    def _generic_violation(self, uid: int, created_level: int) -> None:
-        self.generic_bad.add(uid)
-
-    def _collect(self, uid: int) -> None:
-        nd = self.nodes[uid]
-        if uid in self.generic_bad:
-            self.tails.add(min(s for s, _ in nd.claims) + self.ctx.m)
-        for iota in nd.bad_iotas:
-            for start, period in nd.claims:
-                if period == 0:
-                    self.singles.add(start + iota)
-                elif period == 1:
-                    self.tails.add(start + iota)
-                else:
-                    self.progressions.add(IrrevExpression(period, start + iota))
-
-    def covered(self, n: int) -> bool:
-        return (
-            any(n >= t for t in self.tails)
-            or any(e.covers(n) for e in self.progressions)
-            or n in self.singles
-        )
+    def _found(self, sizes) -> None:
+        self.evidence.update(sizes)
 
     def tail_bound(self) -> int | None:
         """Least B with {n >= B} covered by the evidence, if one exists."""
-        lam = 1
-        for e in self.progressions:
-            lam = math.lcm(lam, e.modulus)
-        residues_covered = self.progressions and all(
-            any((r - e.offset) % e.modulus == 0 for e in self.progressions)
-            for r in range(lam)
-        )
-        if not self.tails and not residues_covered:
+        spans = [(s, p) for s, p in self.evidence if p]  # tails, progressions
+        lam = math.lcm(*(p for _, p in spans))
+        if not spans or not all(any((r - s) % p == 0 for s, p in spans)
+                                for r in range(lam)):
             return None
-        horizon = max(
-            list(self.tails) + [e.offset for e in self.progressions] + [0]
-        ) + 2 * lam
-        uncovered = [n for n in range(1, horizon + 1) if not self.covered(n)]
+        horizon = max(s for s, _ in spans) + 2 * lam
+        uncovered = [n for n in range(1, horizon + 1)
+                     if not _covers(self.evidence, n)]
         return (max(uncovered) + 1) if uncovered else 1
 
     def done_early(self, levels_built: int) -> bool:
@@ -689,21 +657,18 @@ def classify(rule: Rule) -> ReversibilityReport:
     builder = _ClassifyBuilder(rule)
     builder.build(stop_check=builder.done_early)
 
-    tails, progressions, singles = builder.tails, builder.progressions, builder.singles
     stats = {
         "unique_nodes": builder.unique_nodes,
         "last_unique_level": builder.last_unique_level,
     }
 
-    if not tails and not progressions and not singles:
+    if not builder.evidence:
         return ReversibilityReport(Classification.REVERSIBLE, **stats)
 
-    merged = merge_expressions(progressions)
+    spans = {(s, p) for s, p in builder.evidence if p}
+    merged = merge_expressions(IrrevExpression(p, s) for s, p in spans if p > 1)
     extra = tuple(sorted(
-        s for s in singles
-        if not any(e.covers(s) for e in progressions)
-        and not any(s >= t for t in tails)
-    ))
+        s for s, p in builder.evidence if not p and not _covers(spans, s)))
 
     bound = builder.tail_bound()
     if bound is not None:

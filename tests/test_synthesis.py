@@ -387,6 +387,15 @@ class TestSynthesizeDecimal:
         with pytest.raises(ValueError, match=next(iter(limit))):
             synthesize_decimal(1, seed=6, **limit)
 
+    def test_rejects_single_rmt_runs(self, monkeypatch):
+        # a run through an RMT counts the RMT itself, so max_run=1 would
+        # never let a value be drawn at random
+        def no_draw(self):
+            raise AssertionError("drew from the generator")
+        monkeypatch.setattr(Lcg, "next_u32", no_draw)
+        with pytest.raises(ValueError, match="max_run must be at least 2"):
+            synthesize_decimal(1, seed=6, max_run=1)
+
     def test_pinned_output_longer_runs(self):
         rules = synthesize_decimal(2, seed=7, max_run=4)
         digest = hashlib.sha256("\n".join(r.string for r in rules).encode())
