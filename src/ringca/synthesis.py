@@ -69,6 +69,12 @@ class StrategySpec:
     def __post_init__(self) -> None:
         if self.kind not in ("I", "II", "III"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        # checked here, not by Rule: the generators size their tables as
+        # d ** (m - 1), which is a float for m < 1
+        if not 2 <= self.d <= 10:
+            raise ValueError(f"state count must be in [2, 10], got {self.d}")
+        if self.m < 2:
+            raise ValueError(f"neighborhood size must be >= 2, got {self.m}")
         if self.kind == "III" and self.m != 3:
             raise ValueError("strategy III is defined for 3-neighborhood rules only")
 
@@ -283,23 +289,35 @@ class _DecimalAssembler:
     """One synthesis attempt: value assignment over the staged sets.
 
     RMT r = abc is the de Bruijn edge from window ab = r // 10 to window
-    bc = r % 100.  Both inner scans walk windows along the RMTs of one
-    label, on two adjacency tables that :meth:`_set`, the one writer of
-    ``table``, keeps current:
+    bc = r % 100.  :meth:`_set`, the one writer of ``table``, keeps these
+    tables current:
 
     - ``succ[v][w]``: the head window of the v-valued RMT leaving window
       w, or -1 if there is none;
     - ``pred[v][w]``: a 100-bit mask of the tail windows of the v-valued
-      RMTs entering w.
+      RMTs entering w;
+    - ``ahead[v][w]``: the length of the v-valued RMT walk leaving w,
+      capped at 2 * max_run;
+    - ``behind[v][w]``: the length of the longest v-valued RMT walk
+      ending at w, capped the same way;
+    - ``equi_free[w]`` and ``equi_vals[w]``: the number of unassigned
+      RMTs of equivalent set w (the RMTs entering window w) and the
+      values of its assigned ones.
 
     One ``succ`` entry per (v, w) suffices because sibling sets stay
     injective throughout assembly (a value is only allowed if its sibling
     set does not hold it yet): the RMTs leaving w form sibling set w, so
     at most one of them is v-valued, and at most one self-replicating.
-    A forward walk is therefore a pointer chase; only backward walks,
-    along equivalent sets that may repeat a value, need window sets.
+    A forward walk is therefore unique: ``ahead`` follows ``succ``.
+
+    Within one attempt RMTs are only ever added, so walks only get
+    longer and ``ahead`` and ``behind`` only grow.  A new v-valued edge
+    t -> h lengthens the walks that reach t, which lie on the
+    ``pred[v]`` layers behind t, and the walks that leave h, which
+    follow ``succ[v]``; each update stops where a value no longer grows,
+    since nothing behind (or ahead of) an unchanged value changes.
     The scans only score RMTs that are still unassigned, which are in
-    neither table, so a walk never passes through the RMT being scored.
+    no table, so a walk never passes through the RMT being scored.
     """
 
     def __init__(self, rng: Lcg, max_run: int):
@@ -309,6 +327,10 @@ class _DecimalAssembler:
         self.sibl_used = [set() for _ in range(100)]
         self.succ = [[-1] * 100 for _ in range(10)]
         self.pred = [[0] * 100 for _ in range(10)]
+        self.ahead = [[0] * 100 for _ in range(10)]
+        self.behind = [[0] * 100 for _ in range(10)]
+        self.equi_free = [10] * 100
+        self.equi_vals = [set() for _ in range(100)]
 
     def assemble(self, stages: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
         """Random singletons, then the later stages set by set; raises
@@ -321,39 +343,45 @@ class _DecimalAssembler:
         return tuple(self.table)
 
     def _set(self, r: int, v: int) -> None:
+        t, h = r // 10, r % 100
         self.table[r] = v
-        self.sibl_used[r // 10].add(v)
-        self.succ[v][r // 10] = r % 100
-        self.pred[v][r % 100] |= 1 << (r // 10)
+        self.sibl_used[t].add(v)
+        self.equi_free[h] -= 1
+        self.equi_vals[h].add(v)
+        succ, pred = self.succ[v], self.pred[v]
+        succ[t] = h
+        pred[h] |= 1 << t
+        cap = 2 * self.max_run
+        # walks reaching t in k RMTs now go on through h
+        ahead = self.ahead[v]
+        layer, n = 1 << t, min(cap, ahead[h] + 1)
+        while layer:
+            nxt = 0
+            while layer:
+                low = layer & -layer
+                w = low.bit_length() - 1
+                if ahead[w] < n:
+                    ahead[w] = n
+                    nxt |= pred[w]
+                layer ^= low
+            layer, n = nxt, min(cap, n + 1)
+        # walks leaving h may now start behind t
+        behind = self.behind[v]
+        w, n = h, min(cap, behind[t] + 1)
+        while w >= 0 and behind[w] < n:
+            behind[w] = n
+            w, n = succ[w], min(cap, n + 1)
 
     def _run_through(self, r: int, v: int) -> int:
         """Longest same-value RMT walk through r if r took value v.
 
-        Each side counts the longest walk of v-valued RMTs into or out of
-        r, capped at 2 * max_run; walks, not paths, because an RMT may
-        repeat (r itself never does: it is unassigned).  Backward, layer
-        k is the mask of windows that start a k-RMT walk into r; forward,
-        the walk is unique.
+        The longest v-valued walk into r, r itself, and the walk out of
+        r, each side capped at 2 * max_run; walks, not paths, because an
+        RMT may repeat (r itself never does: it is unassigned).  A
+        lookup: :meth:`_set` keeps both sides, ``behind`` at r's tail
+        window and ``ahead`` at its head window, current as they grow.
         """
-        cap = 2 * self.max_run
-        pred = self.pred[v]
-        back, layer = 0, 1 << (r // 10)
-        while back < cap:
-            nxt = 0
-            while layer:
-                low = layer & -layer
-                nxt |= pred[low.bit_length() - 1]
-                layer ^= low
-            if not nxt:
-                break
-            back += 1
-            layer = nxt
-        succ = self.succ[v]
-        ahead, w = 0, succ[r % 100]
-        while w >= 0 and ahead < cap:
-            ahead += 1
-            w = succ[w]
-        return back + 1 + ahead
+        return self.behind[v][r // 10] + 1 + self.ahead[v][r % 100]
 
     def _closes_bad_cycle(self, r: int, v: int) -> bool:
         """Would value v close a constant or self-replicating cycle of
@@ -407,12 +435,9 @@ class _DecimalAssembler:
             if all(self.table[x] == (x // 10) % 10 for x in others):
                 pruned = [v for v in pruned if v != middle]
         # avoid completing an equivalent set with one repeated value
-        equi = [r % 100 + k * 100 for k in range(10)]
-        pending = [x for x in equi if self.table[x] == -1]
-        if pending == [r]:
-            values = {self.table[x] for x in equi if x != r}
-            if len(values) == 1:
-                pruned = [v for v in pruned if v not in values]
+        w = r % 100
+        if self.equi_free[w] == 1 and len(self.equi_vals[w]) == 1:
+            pruned = [v for v in pruned if v not in self.equi_vals[w]]
         return pruned if pruned else allowed
 
 

@@ -146,6 +146,14 @@ class TestSynthesize:
         # the handler is gone again
         assert invoke(capsys, *argv)[2] == ""
 
+    @pytest.mark.parametrize("strategy, size", [
+        ("I", ("--m", "0")), ("II", ("--m", "-1")), ("I", ("--d", "11"))])
+    def test_sizes_out_of_range(self, capsys, strategy, size):
+        code, out, err = invoke(capsys, "synthesize", "--strategy", strategy,
+                                *size)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_stats_needs_decimal(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["synthesize", "--strategy", "II", "--stats"])

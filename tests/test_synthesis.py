@@ -85,6 +85,14 @@ class TestStrategies:
         assert digest(strategy_iii_rules(3)) == (
             "46d4424cdb382af6a92dff940af3a8a40b7d189a9811e6d3fdcc2584f4aac79a")
 
+    @pytest.mark.parametrize("kind, d, m, message", [
+        ("I", 3, 0, "neighborhood size"), ("II", 3, -1, "neighborhood size"),
+        ("I", 3, 1, "neighborhood size"), ("II", 1, 3, "state count"),
+        ("I", 11, 3, "state count"), ("III", 0, 3, "state count")])
+    def test_spec_rejects_sizes_out_of_range(self, kind, d, m, message):
+        with pytest.raises(ValueError, match=message):
+            StrategySpec(kind, d=d, m=m)
+
     def test_determinism(self):
         spec = StrategySpec("II", d=3, m=3, seed=31)
         a = [r.string for r in generate_strategy(spec, 5)]
@@ -229,6 +237,28 @@ class TestAssemblerScans:
                 assert asm._closes_bad_cycle(r, v) == \
                     _reference_closes_bad_cycle(asm.table, r, v), (r, v)
 
+    @given(st.integers(0, 2 ** 32), st.floats(0.2, 0.98), st.integers(2, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_tables_do_not_depend_on_order(self, seed, density, max_run):
+        # the run-length tables grow edge by edge; setting the RMTs of a
+        # partial table in any order must give the same runs
+        rnd = random.Random(seed)
+        assigned = []
+        for j in range(100):
+            values = list(range(10))
+            rnd.shuffle(values)
+            assigned += [(10 * j + t, v) for t, v in enumerate(values)
+                         if rnd.random() < density]
+        rnd.shuffle(assigned)
+        asm = _DecimalAssembler(Lcg(seed), max_run)
+        for r, v in assigned:
+            asm._set(r, v)
+        for r in range(1000):
+            if asm.table[r] == -1:
+                for v in sorted(set(range(10)) - asm.sibl_used[r // 10]):
+                    assert asm._run_through(r, v) == \
+                        _reference_run_through(asm.table, max_run, r, v), (r, v)
+
     @given(st.lists(st.integers(0, 9), min_size=2, max_size=4),
            st.integers(0, 3), st.integers(0, 2 ** 32), st.floats(0.0, 0.9))
     @settings(max_examples=100, deadline=None)
@@ -281,11 +311,43 @@ def _rebuilt_adjacency(table):
     return succ, pred
 
 
+def _rebuilt_runs(table, max_run):
+    """The assembler's run-length tables, built afresh from a (partial)
+    rule table: per value, the length of the walk leaving each window
+    and of the longest walk ending at it, both capped at 2 * max_run."""
+    cap = 2 * max_run
+    succ, _ = _rebuilt_adjacency(table)
+    ahead = [[0] * 100 for _ in range(10)]
+    behind = [[0] * 100 for _ in range(10)]
+    for v in range(10):
+        for w in range(100):
+            x = succ[v][w]
+            while x >= 0 and ahead[v][w] < cap:
+                ahead[v][w] += 1
+                x = succ[v][x]
+        # windows that end a walk of k v-valued RMTs, for k = 1 .. cap
+        ends = set(range(100))
+        for k in range(1, cap + 1):
+            ends = {r % 100 for r, value in enumerate(table)
+                    if value == v and r // 10 in ends}
+            for w in ends:
+                behind[v][w] = k
+    return ahead, behind
+
+
+def _rebuilt_equivalent_sets(table):
+    """Unassigned-member counts and assigned-value sets of the 100
+    equivalent sets of a (partial) rule table."""
+    members = [[table[w + 100 * k] for k in range(10)] for w in range(100)]
+    return ([values.count(-1) for values in members],
+            [{v for v in values if v >= 0} for values in members])
+
+
 class TestAssemblerTables:
     def test_tables_match_rule_table(self):
         # every attempt of synthesize_decimal(6, seed=20260811), dead ends
-        # included: the pointer chase needs injective sibling sets and
-        # tables that follow `table`
+        # included: the pointer chase needs injective sibling sets, and the
+        # scans and the prune need tables that follow `table`
         rng, stages = Lcg(20260811), assignment_stages(10)
         dead_ends = finished = 0
         while finished < 6:
@@ -296,6 +358,9 @@ class TestAssemblerTables:
             except _DeadEnd:
                 dead_ends += 1
             assert (asm.succ, asm.pred) == _rebuilt_adjacency(asm.table)
+            assert (asm.ahead, asm.behind) == _rebuilt_runs(asm.table, 3)
+            assert (asm.equi_free, asm.equi_vals) == \
+                _rebuilt_equivalent_sets(asm.table)
             for j in range(100):
                 values = [asm.table[r] for r in range(10 * j, 10 * j + 10)
                           if asm.table[r] >= 0]
