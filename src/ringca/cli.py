@@ -24,8 +24,8 @@ def _load_rule(args) -> Rule:
     if getattr(args, "perm", None):
         return synthesis.rule_from_permutation(args.perm)
     if getattr(args, "rule_file", None):
-        text = open(args.rule_file).read()
-        return parse_rule_spec(text)
+        with open(args.rule_file) as f:
+            return parse_rule_spec(f.read())
     if not args.rule:
         raise RuleError("no rule given (use --rule, --perm or --rule-file)")
     return parse_rule(args.rule, args.d, args.m)

@@ -17,6 +17,14 @@ class RuleError(ValueError):
     """Malformed rule text or inconsistent rule parameters."""
 
 
+def check_dims(d: int, m: int) -> None:
+    """Reject a state count outside [2, 10] or a neighborhood below 2."""
+    if not 2 <= d <= 10:
+        raise RuleError(f"state count must be in [2, 10], got {d}")
+    if m < 2:
+        raise RuleError(f"neighborhood size must be >= 2, got {m}")
+
+
 @dataclass(frozen=True)
 class Rule:
     """A d-state, m-neighborhood local rule under periodic boundary.
@@ -33,10 +41,7 @@ class Rule:
     rr: int = field(default=-1)
 
     def __post_init__(self) -> None:
-        if not 2 <= self.d <= 10:
-            raise RuleError(f"state count must be in [2, 10], got {self.d}")
-        if self.m < 2:
-            raise RuleError(f"neighborhood size must be >= 2, got {self.m}")
+        check_dims(self.d, self.m)
         if self.lr < 0 and self.rr < 0:
             lr = (self.m - 1) // 2
             object.__setattr__(self, "lr", lr)
@@ -108,10 +113,14 @@ class Rule:
 
 def parse_rule(text: str, d: int, m: int, lr: int = -1) -> Rule:
     """Parse a rule digit string (highest RMT first) into a :class:`Rule`."""
-    n = d ** m
+    check_dims(d, m)
+    # d^m >= 2^m outgrows len(text) once m passes its bit length; the
+    # power, huge for a huge m, is only taken when it can match
+    n = d ** m if m <= len(text).bit_length() else None
     if len(text) != n:
-        raise RuleError(
-            f"rule string for d={d}, m={m} must have {n} digits, got {len(text)}")
+        expected = "d^m" if n is None else f"d^m = {n}"
+        raise RuleError(f"rule string for d={d}, m={m} must have {expected} "
+                        f"digits, got {len(text)}")
     table = [0] * n
     for pos, ch in enumerate(text):
         if not ch.isdigit() or int(ch) >= d:

@@ -16,7 +16,7 @@ from itertools import permutations, product
 
 from .debruijn import (fixed_point_attractors, quiescent_states,
                        trivial_reachability)
-from .rules import Rule, information_flow, is_balanced
+from .rules import Rule, check_dims, information_flow, is_balanced
 
 
 class Lcg:
@@ -71,10 +71,7 @@ class StrategySpec:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         # checked here, not by Rule: the generators size their tables as
         # d ** (m - 1), which is a float for m < 1
-        if not 2 <= self.d <= 10:
-            raise ValueError(f"state count must be in [2, 10], got {self.d}")
-        if self.m < 2:
-            raise ValueError(f"neighborhood size must be >= 2, got {self.m}")
+        check_dims(self.d, self.m)
         if self.kind == "III" and self.m != 3:
             raise ValueError("strategy III is defined for 3-neighborhood rules only")
 

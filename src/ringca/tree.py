@@ -37,8 +37,8 @@ with the right total t exactly when its slots' packed counts sum to t/d
 in every field.  One more table per slot index packs, next to those
 counts, the counts of the slot's restriction to every last level, one
 field group per level, so judging a unique node is one sum over its
-slots.  Restrictions themselves, which only the walk below level
-n - m + 1 needs, come from per-slot tables of the same kind.
+slots.  No restricted node is ever built: a fixed-size check judges the
+levels below n - m + 1 by walking full contents with the same verdict.
 """
 
 from __future__ import annotations
@@ -136,10 +136,6 @@ class _Context:
                     mask |= 1 << (i + j * step)
                 per_slot.append(mask)
             self.valid[iota] = per_slot
-        # per slot index: slot id -> restricted slot id, one list per iota
-        self.restricted = [None] + [
-            [_SlotTable(partial(self._restrict, valid)) for valid in self.valid[iota]]
-            for iota in range(1, m)]
         # per slot index: slot id -> packed counts of every field group
         self.judge = [_SlotTable(partial(self._judge, k)) for k in range(self.num_sets)]
 
@@ -164,10 +160,6 @@ class _Context:
             bits ^= low
         return self.intern(out)
 
-    def _restrict(self, valid: int, sid: int) -> int:
-        """Id of content ``sid`` cut down to the ``valid`` RMTs of its slot."""
-        return self.intern(self.masks[sid] & valid)
-
     def _judge(self, k: int, sid: int) -> int:
         """Packed counts of content ``sid`` in slot k, all field groups."""
         mask = self.masks[sid]
@@ -184,15 +176,6 @@ class _Context:
     def child(self, gamma: tuple[int, ...], branch: int) -> tuple[int, ...]:
         """Child node along ``branch``."""
         return tuple(map(self.child_slot[branch].__getitem__, gamma))
-
-    def restrict(self, gamma: tuple[int, ...], iota: int) -> tuple[int, ...]:
-        """Intersect each set slot with the valid RMTs of level n - iota."""
-        return tuple(map(getitem, self.restricted[iota], gamma))
-
-    def node_ok(self, gamma: tuple[int, ...], required_total: int) -> bool:
-        """``required_total`` RMTs in all, equally many for every value."""
-        return (sum(map(self.code.__getitem__, gamma))
-                == (required_total // self.d) * self.ones)
 
     def verdict(self, gamma: tuple[int, ...]) -> tuple[bool, frozenset[int]]:
         """Whether the node passes the generic balance and d^m count, and
@@ -246,9 +229,8 @@ def restrict_last_levels(node: TreeNode, rule: Rule, iota: int) -> TreeNode:
     """Node content as it appears at level n - iota (valid RMTs only)."""
     if not 1 <= iota <= rule.m - 1:
         raise ValueError(f"iota must be in [1, {rule.m - 1}]")
-    ctx = _Context(rule)
-    restricted = ctx.restrict(tuple(map(ctx.intern, _to_masks(node))), iota)
-    return _to_sets(ctx.masks[sid] for sid in restricted)
+    valid = _Context(rule).valid[iota]
+    return _to_sets(g & v for g, v in zip(_to_masks(node), valid))
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +277,12 @@ def _state_claims(levels: set[int]) -> set[tuple[int, int]]:
 class _Builder:
     """Shared minimized-tree construction with loop bookkeeping.
 
+    A subclass fills two hooks: ``_done(level)`` says whether to stop
+    before building ``level``, and ``_found(sizes)`` takes the evidence.
     Node content is judged once, in ``_new_node``: equal nodes root equal
     subtrees, so a node met again needs no second look.  Every judgement
-    reaches the one hook ``_found(sizes)`` as (start, period) progressions
-    of ring sizes at which the CA is irreversible; raising from it aborts
-    construction.  A node failing the generic condition reports
+    reaches ``_found`` as (start, period) progressions of ring sizes at
+    which the CA is irreversible; raising from it aborts construction.  A node failing the generic condition reports
     ``(created_level + m, 1)`` before it is appended, so a fixed-size check
     that stops there does not count it in M.  A node with bad last levels
     reports ``(s + iota, p)`` for each claim (s, p) and bad iota whenever
@@ -325,6 +308,10 @@ class _Builder:
         """The CA is irreversible at every size of the (start, period)
         progressions in ``sizes``, a one-pass iterable; raising here stops
         construction."""
+        raise NotImplementedError
+
+    def _done(self, level: int) -> bool:
+        """Whether construction stops before building ``level``."""
         raise NotImplementedError
 
     # -- node bookkeeping -------------------------------------------------
@@ -417,18 +404,12 @@ class _Builder:
 
     # -- construction -----------------------------------------------------
 
-    def build(self, stop_level: int | None = None, stop_check=None) -> None:
-        """Expand level by level until convergence or past ``stop_level``.
-
-        ``stop_check(level)`` may end construction early once the caller
-        has gathered enough evidence.
-        """
+    def build(self) -> None:
+        """Expand level by level until convergence or until ``_done``."""
         self._new_node(self.ctx.root(), {0}, {(0, 0)}, created_level=0)
         frontier = [0]
         i = 1
-        while frontier and (stop_level is None or i <= stop_level):
-            if stop_check is not None and stop_check(i - 1):
-                break
+        while frontier and not self._done(i):
             next_frontier = []
             for p in frontier:
                 parent = self.nodes[p]
@@ -486,29 +467,30 @@ class _FixedSizeBuilder(_Builder):
         if _covers(sizes, self.n):
             raise _IrreversibleFound
 
+    def _done(self, level: int) -> bool:
+        return level > self.n - self.ctx.m + 1
+
     def final_checks(self) -> None:
         """Walk the last m - 2 levels below level n - m + 1.
 
         Construction stops at level n - m + 1 (the pinned M values count
-        the nodes built up to there), so the restricted contents of levels
-        n - m + 2 .. n - 1 are derived by this explicit walk.
+        the nodes built up to there), so levels n - m + 2 .. n - 1 are
+        walked here, each child judged by the verdict of its full content
+        at its own iota.  Walking full rather than restricted contents is
+        exact: an RMT r in slot k is valid at level n - iota when its last
+        m - iota digits equal the first m - iota digits of k, so an RMT
+        invalid at level n - iota - 1 has only invalid children at level
+        n - iota, and restricting a child of a restricted node gives the
+        restricted child of the full node.
         """
         n, m = self.n, self.ctx.m
         # level n - m + 1 itself was judged through the claims
-        current = {
-            self.ctx.restrict(nd.gamma, m - 1)
-            for nd in self.nodes if _covers(nd.claims, n - m + 1)
-        }
+        current = {nd.gamma for nd in self.nodes if _covers(nd.claims, n - m + 1)}
         for iota in range(m - 2, 0, -1):
-            nxt = set()
-            for gamma in current:
-                for branch in range(self.ctx.d):
-                    child = self.ctx.restrict(
-                        self.ctx.child(gamma, branch), iota)
-                    if not self.ctx.node_ok(child, self.ctx.d ** iota):
-                        raise _IrreversibleFound
-                    nxt.add(child)
-            current = nxt
+            current = {self.ctx.child(gamma, branch)
+                       for gamma in current for branch in range(self.ctx.d)}
+            if any(iota in self.ctx.verdict(gamma)[1] for gamma in current):
+                raise _IrreversibleFound
 
 
 def check_reversible(rule: Rule, n: int) -> ReversibilityCheck:
@@ -519,7 +501,7 @@ def check_reversible(rule: Rule, n: int) -> ReversibilityCheck:
         return ReversibilityCheck(n, False, 0, None)
     builder = _FixedSizeBuilder(rule, n)
     try:
-        builder.build(stop_level=n - rule.m + 1)
+        builder.build()
         builder.final_checks()
     except _IrreversibleFound:
         return ReversibilityCheck(
@@ -637,9 +619,9 @@ class _ClassifyBuilder(_Builder):
                      if not _covers(self.evidence, n)]
         return (max(uncovered) + 1) if uncovered else 1
 
-    def done_early(self, levels_built: int) -> bool:
+    def _done(self, level: int) -> bool:
         bound = self.tail_bound()
-        return bound is not None and levels_built >= bound - 2
+        return bound is not None and level >= bound - 1
 
 
 def _strictly_irreversible(rule: Rule) -> bool:
@@ -655,7 +637,7 @@ def classify(rule: Rule) -> ReversibilityReport:
             Classification.TRIVIAL_SEMI, irreversible_from=rule.m)
 
     builder = _ClassifyBuilder(rule)
-    builder.build(stop_check=builder.done_early)
+    builder.build()
 
     stats = {
         "unique_nodes": builder.unique_nodes,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,16 @@ class TestCheck:
                               "--rule", "0120", "--size", "5")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("d, m", [("2", "1000000000"), ("10", "5000")])
+    def test_huge_neighborhood(self, capsys, d, m):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "check", "--d", d, "--m", m,
+                                "--rule", "0", "--size", "5")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"d={d}, m={m}" in err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -250,6 +261,14 @@ class TestFiles:
         code, out, _ = invoke(capsys, "check", "--rule-file", str(rule_file),
                               "--size", "7")
         assert code == 0 and "Reversible" in out
+
+    def test_rule_file_closed(self, tmp_path):
+        rule_file = tmp_path / "rule.txt"
+        rule_file.write_text("d=2 m=3 rule=01001011\n")
+        proc = python("-X", "dev", "-m", "ringca.cli", "check",
+                      "--rule-file", str(rule_file), "--size", "7")
+        assert proc.returncode == 0 and "Reversible" in proc.stdout
+        assert "ResourceWarning" not in proc.stderr
 
     def test_prng_count_below_one(self, capsys):
         code, out, err = invoke(capsys, "prng", "--scheme", "bin",

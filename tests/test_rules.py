@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +31,22 @@ class TestParse:
     def test_bad_length(self):
         with pytest.raises(RuleError, match="27"):
             parse_rule("0120", 3, 3)
+
+    @pytest.mark.parametrize("d, m", [(2, 10 ** 9), (10, 5000)])
+    def test_huge_neighborhood_rejected_by_length(self, d, m):
+        # the length check must answer without computing d^m, which takes
+        # seconds for m = 10^9 and cannot be printed for either case
+        start = time.perf_counter()
+        with pytest.raises(RuleError, match=rf"d={d}, m={m} must have d\^m digits"):
+            parse_rule("0", d, m)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("d, m, problem", [
+        (11, 3, "state count"), (1, 3, "state count"),
+        (2, 1, "neighborhood size"), (2, -5, "neighborhood size")])
+    def test_bad_dims_before_length(self, d, m, problem):
+        with pytest.raises(RuleError, match=problem):
+            parse_rule("01", d, m)
 
     def test_bad_digit_names_position(self):
         with pytest.raises(RuleError, match="position 3"):

@@ -110,6 +110,12 @@ def reference_restrict(rule, masks, iota):
             for k, g in enumerate(masks)]
 
 
+def mask_sets(masks):
+    """A node of RMT bitmasks as the tuple of its slots' RMT sets."""
+    return tuple(frozenset(r for r in range(g.bit_length()) if g >> r & 1)
+                 for g in masks)
+
+
 def reference_ok(counts, total):
     return sum(counts) == total and len(set(counts)) == 1
 
@@ -156,22 +162,18 @@ class TestSlotTables:
         nodes = [[shared.masks[s] for s in shared.root()]]
         nodes += self.random_nodes(rule, rng)
         nodes += [reference_child(rule, nodes[1 + i % 3], i % d) for i in range(3)]
-        totals = {d ** i for i in range(1, m + 1)}
         for masks in nodes:
-            counts = reference_counts(rule, masks)
-            tests = totals | {sum(counts) - sum(counts) % d}
             children = [reference_child(rule, masks, b) for b in range(d)]
             restricted = [reference_restrict(rule, masks, i) for i in range(1, m)]
-            groups = [counts] + [reference_counts(rule, g) for g in restricted]
+            for i in range(1, m):
+                assert (restrict_last_levels(mask_sets(masks), rule, i)
+                        == mask_sets(restricted[i - 1]))
+            groups = [reference_counts(rule, masks)]
+            groups += [reference_counts(rule, g) for g in restricted]
             for ctx in (shared, _Context(rule)):
                 gamma = tuple(map(ctx.intern, masks))
-                for t in tests:
-                    assert ctx.node_ok(gamma, t) == reference_ok(counts, t)
                 for b in range(d):
                     assert [ctx.masks[s] for s in ctx.child(gamma, b)] == children[b]
-                for i in range(1, m):
-                    assert ([ctx.masks[s] for s in ctx.restrict(gamma, i)]
-                            == restricted[i - 1])
                 self.check_judge(ctx, gamma, groups)
 
     @staticmethod
@@ -291,6 +293,20 @@ class TestCheckReversible:
         result = check_reversible(rule_from_permutation(PERMUTATION_RULES[0]), 101)
         assert (result.reversible, result.unique_nodes,
                 result.last_unique_level) == (True, 6000, 61)
+
+    @pytest.mark.parametrize("text,m,n", [
+        ("1001010101100101", 4, 5),
+        ("1001010101100101", 4, 7),
+        ("0010011110101010", 4, 4),
+        ("10000011111110010001001001101011", 5, 5),
+        ("11100010000110111111011001000001", 5, 5),
+        ("1111101111100010010100010100010110100010111010100001111011000100", 6, 6),
+    ])
+    def test_walk_below_last_built_level(self, text, m, n):
+        # these sizes are decided at a level below n - m + 2, which only
+        # the walk past the built tree reaches
+        rule = parse_rule(text, 2, m)
+        assert check_reversible(rule, n).reversible == brute_force_reversible(rule, n)
 
     def test_two_neighborhood_rules(self):
         rng = random.Random(8)

@@ -53,7 +53,7 @@ def test_builder_invariants():
         if _strictly_irreversible(rule) or not is_balanced(rule):
             continue
         builder = _ClassifyBuilder(rule)
-        builder.build(stop_check=builder.done_early)
+        builder.build()
         for nd in builder.nodes:
             assert _state_claims(nd.levels) <= nd.claims, rule.string
             assert min(s for s, _ in nd.claims) == nd.created_level, rule.string
