@@ -18,6 +18,9 @@ from .debruijn import (fixed_point_attractors, quiescent_states,
                        trivial_reachability)
 from .rules import Rule, check_dims, information_flow, is_balanced
 
+# largest rule table, in RMTs (d^m), that the strategy generators build
+MAX_STRATEGY_RMTS = 1 << 20
+
 
 class Lcg:
     """32-bit linear congruential generator, used for reproducible sampling.
@@ -72,6 +75,13 @@ class StrategySpec:
         # checked here, not by Rule: the generators size their tables as
         # d ** (m - 1), which is a float for m < 1
         check_dims(self.d, self.m)
+        # d^m >= 2^m passes the bound once m reaches its bit length; the
+        # power, huge for a huge m, is only taken below that
+        if (self.m >= MAX_STRATEGY_RMTS.bit_length()
+                or self.d ** self.m > MAX_STRATEGY_RMTS):
+            raise ValueError(
+                f"strategy tables hold at most {MAX_STRATEGY_RMTS} RMTs, "
+                f"d^m is larger for d={self.d}, m={self.m}")
         if self.kind == "III" and self.m != 3:
             raise ValueError("strategy III is defined for 3-neighborhood rules only")
 

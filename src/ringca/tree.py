@@ -24,20 +24,25 @@ occurrence claims: a generic failure as every size from its first level
 plus m on, a bad last level iota as each claim shifted by iota, reported
 again whenever a re-occurrence grows the claims.
 
-A slot's content is an integer bitmask over the d^m RMTs; RMT multiplicity
-across the d^(m-1) set slots is what the balance and cardinality
-conditions count.  One rule's tree holds few distinct slot contents (about
-1,100 for a 10-state rule against 100 slots in each of thousands of
-nodes), so each gets a small int id, and a node is stored as the tuple of
-its slot ids.  Per-rule slot tables, filled on first use and kept for one
-``check_reversible`` or ``classify`` call, map an id to its child along
-each branch and to its d per-value RMT counts packed into one int, with
+A slot's content is an integer bitmask over the d^m RMTs; RMT
+multiplicity across the d^(m-1) set slots is what the balance and
+cardinality conditions count.  One rule's tree holds few distinct slot
+contents (100 for the 10-state rule of permutation 8572036419, against
+100 slots in each of thousands of nodes), so each gets a small int id,
+and a node is stored as the tuple of its slot ids.  Per-rule tables,
+kept for one ``check_reversible`` or ``classify`` call, are indexed by
+id.  One list per branch holds each id's child along that branch; the
+lists grow in id order before a parent is expanded, so its d children
+are d reads of its id tuple.  Value counts are packed into one int, with
 fields wide enough that a node's sum never carries: a node is balanced
 with the right total t exactly when its slots' packed counts sum to t/d
-in every field.  One more table per slot index packs, next to those
-counts, the counts of the slot's restriction to every last level, one
-field group per level, so judging a unique node is one sum over its
-slots.  No restricted node is ever built: a fixed-size check judges the
+in every field.  Level n - iota keeps in slot k the RMTs r with r mod
+d^(m-iota) = k div d^(iota-1), so the counts of a slot's restriction are
+one entry of a per-content table of counts by residue.  One table per
+slot index packs, entry by entry on first use, the counts of the full
+content and of its restriction to every last level, one field group per
+level, so judging a unique node is one sum over its slots.  No
+restricted content or node is ever built: a fixed-size check judges the
 levels below n - m + 1 by walking full contents with the same verdict.
 """
 
@@ -47,7 +52,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from operator import getitem
+from operator import getitem, itemgetter
 
 from .rules import Rule, is_balanced
 
@@ -82,17 +87,25 @@ class _Context:
     """Per-rule tables used by all node operations.
 
     A node is a tuple of slot ids.  Each distinct slot content, a bitmask
-    over the d^m RMTs, gets a small int id when first met (``intern``);
-    its packed per-value RMT counts are computed then, and its child along
-    a branch on first request, so a rule's tree expands and counts each
-    distinct slot content at most once.
+    over the d^m RMTs, gets a small int id when first met (``intern``).
+
+    ``child_slot[b]`` is a list mapping a slot id to the id of its child
+    along branch b.  ``grow(top)`` fills the d lists in id order up to
+    ``top``, so each content is expanded once per branch, and a node's d
+    children (``children``) are one ``itemgetter(*gamma)`` applied to each
+    list.
 
     ``judge[k]`` maps the id held in slot k to one int of m field groups:
     group 0 holds the d value counts of the full content, group iota
-    (1 <= iota <= m-1) those of its restriction to level n - iota.  A
-    node's verdict is one sum per unique node,
-    ``sum(map(getitem, judge, gamma))``: its group 0 must read d^m RMTs,
-    balanced, and each group iota d^iota, or the node fails at n - iota.
+    (1 <= iota <= m-1) those of its restriction to level n - iota, which
+    keeps the RMTs r with ``r % d**(m-iota) == k // d**(iota-1)``.  So
+    group iota is one entry of the content's residue table for iota, its
+    value counts by residue of r modulo d**(m-iota) (``counts``, filled
+    when the content is interned); ``judge`` itself is filled one (slot
+    index, id) entry at a time, on first lookup.  A node's verdict is one
+    sum per unique node, ``sum(map(getitem, judge, gamma))``: its group 0
+    must read d^m RMTs, balanced, and each group iota d^iota, or the node
+    fails at n - iota.
     """
 
     def __init__(self, rule: Rule):
@@ -118,26 +131,21 @@ class _Context:
         # group 0, d^iota in group iota, equally many of every value
         self.passing = sum((d ** (iota - 1) if iota else self.num_sets)
                            * self.ones << (iota * self.group) for iota in range(m))
+        # field group iota counts the RMTs of a slot by their residue
+        # modulo steps[iota]; the full content (iota 0) is residue 0 mod 1.
+        # units[iota][r] is one RMT r in its value's field of group iota
+        self.steps = [1] + [d ** (m - iota) for iota in range(1, m)]
+        self.units = [[1 << (v * self.width + iota * self.group) for v in rule.table]
+                      for iota in range(m)]
         self.masks: list[int] = []  # slot id -> RMT bitmask
         self.ids: dict[int, int] = {}  # RMT bitmask -> slot id
-        self.code: list[int] = []  # slot id -> packed value counts
-        # slot id -> child slot id, one table per branch
-        self.child_slot = [_SlotTable(partial(self._expand, vmask))
-                           for vmask in self.value_mask]
-        # valid RMTs per set slot at level n - iota
-        self.valid = [None] * m  # index by iota, 1..m-1
-        for iota in range(1, m):
-            step = d ** (m - iota)
-            per_slot = []
-            for k in range(self.num_sets):
-                i = k // d ** (iota - 1)
-                mask = 0
-                for j in range(d ** iota):
-                    mask |= 1 << (i + j * step)
-                per_slot.append(mask)
-            self.valid[iota] = per_slot
+        self.counts: list[list[list[int]]] = []  # slot id -> residue tables
+        # slot id -> child slot id, one list per branch
+        self.child_slot: list[list[int]] = [[] for _ in range(d)]
         # per slot index: slot id -> packed counts of every field group
-        self.judge = [_SlotTable(partial(self._judge, k)) for k in range(self.num_sets)]
+        self.judge = [_SlotTable(partial(self._judge, (0, *(
+            k // d ** (iota - 1) for iota in range(1, m)))))
+            for k in range(self.num_sets)]
 
     def intern(self, mask: int) -> int:
         """Slot id of one slot's RMT bitmask."""
@@ -145,37 +153,55 @@ class _Context:
         if sid is None:
             sid = self.ids[mask] = len(self.masks)
             self.masks.append(mask)
-            self.code.append(sum(
-                (mask & vmask).bit_count() << (v * self.width)
-                for v, vmask in enumerate(self.value_mask)))
+            self.counts.append(self._counts(mask))
         return sid
 
-    def _expand(self, vmask: int, sid: int) -> int:
-        """Child slot: the sibling sets of the slot's RMTs in ``vmask``."""
-        out = 0
-        bits = self.masks[sid] & vmask
-        while bits:
-            low = bits & -bits
-            out |= self.expand[low.bit_length() - 1]
-            bits ^= low
-        return self.intern(out)
+    def grow(self, top: int) -> None:
+        """Fill the child lists of every slot id up to ``top``."""
+        expand = self.expand
+        for sid in range(len(self.child_slot[0]), top + 1):
+            mask = self.masks[sid]
+            for vmask, table in zip(self.value_mask, self.child_slot):
+                # the sibling sets of the slot's RMTs labelled with the branch
+                out = 0
+                bits = mask & vmask
+                while bits:
+                    low = bits & -bits
+                    out |= expand[low.bit_length() - 1]
+                    bits ^= low
+                table.append(self.intern(out))
 
-    def _judge(self, k: int, sid: int) -> int:
-        """Packed counts of content ``sid`` in slot k, all field groups."""
-        mask = self.masks[sid]
-        out = self.code[sid]
-        for iota in range(1, self.m):
-            restricted = self.intern(mask & self.valid[iota][k])
-            out += self.code[restricted] << (iota * self.group)
-        return out
+    def _counts(self, mask: int) -> list[list[int]]:
+        """Residue tables of a content, one per field group: group iota
+        counts the content's RMTs by residue modulo ``steps[iota]``."""
+        tables = [[0] * step for step in self.steps]
+        groups = list(zip(tables, self.steps, self.units))
+        while mask:
+            low = mask & -mask
+            r = low.bit_length() - 1
+            for table, step, units in groups:
+                table[r % step] += units[r]
+            mask ^= low
+        return tables
+
+    def _judge(self, residues: tuple[int, ...], sid: int) -> int:
+        """Packed counts of content ``sid`` in a slot that keeps residue
+        ``residues[iota]`` at level n - iota."""
+        return sum(map(getitem, self.counts[sid], residues))
 
     def root(self) -> tuple[int, ...]:
         block = (1 << self.d) - 1
         return tuple(self.intern(block << (self.d * k)) for k in range(self.num_sets))
 
+    def children(self, gamma: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The node's d children, in branch order: one read of each child
+        list."""
+        self.grow(max(gamma))
+        return list(map(itemgetter(*gamma), self.child_slot))
+
     def child(self, gamma: tuple[int, ...], branch: int) -> tuple[int, ...]:
         """Child node along ``branch``."""
-        return tuple(map(self.child_slot[branch].__getitem__, gamma))
+        return self.children(gamma)[branch]
 
     def verdict(self, gamma: tuple[int, ...]) -> tuple[bool, frozenset[int]]:
         """Whether the node passes the generic balance and d^m count, and
@@ -229,8 +255,11 @@ def restrict_last_levels(node: TreeNode, rule: Rule, iota: int) -> TreeNode:
     """Node content as it appears at level n - iota (valid RMTs only)."""
     if not 1 <= iota <= rule.m - 1:
         raise ValueError(f"iota must be in [1, {rule.m - 1}]")
-    valid = _Context(rule).valid[iota]
-    return _to_sets(g & v for g, v in zip(_to_masks(node), valid))
+    # slot k keeps the RMTs r with r % step == k // span
+    d, m = rule.d, rule.m
+    step, span = d ** (m - iota), d ** (iota - 1)
+    comb = sum(1 << (j * step) for j in range(d ** iota))
+    return _to_sets(g & comb << k // span for k, g in enumerate(_to_masks(node)))
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +443,7 @@ class _Builder:
             for p in frontier:
                 parent = self.nodes[p]
                 children = []
-                for branch in range(self.ctx.d):
-                    gamma = self.ctx.child(parent.gamma, branch)
+                for gamma in self.ctx.children(parent.gamma):
                     uid = self.index.get(gamma)
                     if uid is None:
                         uid = self._new_node(
@@ -487,8 +515,8 @@ class _FixedSizeBuilder(_Builder):
         # level n - m + 1 itself was judged through the claims
         current = {nd.gamma for nd in self.nodes if _covers(nd.claims, n - m + 1)}
         for iota in range(m - 2, 0, -1):
-            current = {self.ctx.child(gamma, branch)
-                       for gamma in current for branch in range(self.ctx.d)}
+            current = {child for gamma in current
+                       for child in self.ctx.children(gamma)}
             if any(iota in self.ctx.verdict(gamma)[1] for gamma in current):
                 raise _IrreversibleFound
 

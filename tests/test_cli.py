@@ -158,7 +158,8 @@ class TestSynthesize:
         assert invoke(capsys, *argv)[2] == ""
 
     @pytest.mark.parametrize("strategy, size", [
-        ("I", ("--m", "0")), ("II", ("--m", "-1")), ("I", ("--d", "11"))])
+        ("I", ("--m", "0")), ("II", ("--m", "-1")), ("I", ("--d", "11")),
+        ("I", ("--d", "10", "--m", "5000")), ("II", ("--d", "2", "--m", "30"))])
     def test_sizes_out_of_range(self, capsys, strategy, size):
         code, out, err = invoke(capsys, "synthesize", "--strategy", strategy,
                                 *size)

@@ -3,6 +3,7 @@ import logging
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from ringca.debruijn import fixed_point_attractors, quiescent_states
 from ringca.rules import Rule, information_flow, is_balanced, parse_rule
 from ringca import synthesis
-from ringca.synthesis import (Lcg, StrategySpec, _DeadEnd, _DecimalAssembler,
+from ringca.synthesis import (MAX_STRATEGY_RMTS, Lcg, StrategySpec, _DeadEnd,
+                              _DecimalAssembler,
                               assignment_stages,
                               equivalent_sets_acceptable,
                               filter_randomness_candidates, generate_strategy,
@@ -92,6 +94,26 @@ class TestStrategies:
     def test_spec_rejects_sizes_out_of_range(self, kind, d, m, message):
         with pytest.raises(ValueError, match=message):
             StrategySpec(kind, d=d, m=m)
+
+    @pytest.mark.parametrize("kind, d, m", [
+        ("I", 2, 30), ("II", 2, 21), ("I", 3, 13), ("II", 10, 7),
+        ("I", 10, 5000), ("III", 2, 10 ** 9)])
+    def test_spec_rejects_tables_too_large(self, kind, d, m):
+        # rejected before any table is sized: d ** m is not even taken
+        # once m reaches the bound's bit length
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most 1048576 RMTs"):
+                StrategySpec(kind, d=d, m=m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_spec_accepts_largest_tables(self):
+        assert MAX_STRATEGY_RMTS == 1 << 20
+        for d, m in ((2, 20), (3, 12), (10, 6)):
+            assert StrategySpec("I", d=d, m=m).m == m
 
     def test_determinism(self):
         spec = StrategySpec("II", d=3, m=3, seed=31)

@@ -9,7 +9,7 @@ from ringca.rules import Rule, eca, parse_rule
 from ringca.synthesis import (StrategySpec, generate_strategy,
                               rule_from_permutation)
 from ringca.tree import (Classification, IrrevExpression, _Context,
-                         check_reversible, child_node, classify,
+                         _FixedSizeBuilder, check_reversible, child_node, classify,
                          merge_expressions, restrict_last_levels,
                          reversible_sizes, root_node)
 
@@ -174,7 +174,56 @@ class TestSlotTables:
                 gamma = tuple(map(ctx.intern, masks))
                 for b in range(d):
                     assert [ctx.masks[s] for s in ctx.child(gamma, b)] == children[b]
+                self.check_tables(rule, ctx, gamma, children)
                 self.check_judge(ctx, gamma, groups)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_arbitrary_masks_wide_neighborhoods(self, data):
+        # slot contents that are not unions of sibling sets, at m = 4..5,
+        # where level n - iota keeps residue k // d**(iota-1) with a span
+        # d**(iota-1) > 1 for iota >= 2
+        d = data.draw(st.integers(2, 3), label="d")
+        m = data.draw(st.integers(4, 5), label="m")
+        table = data.draw(st.permutations(
+            [v for v in range(d) for _ in range(d ** (m - 1))]), label="table")
+        rule = Rule(d, m, tuple(table))
+        masks = data.draw(st.lists(st.integers(0, 2 ** d ** m - 1),
+                                   min_size=d ** (m - 1), max_size=d ** (m - 1)),
+                          label="masks")
+        groups = [reference_counts(rule, masks)] + [
+            reference_counts(rule, reference_restrict(rule, masks, i))
+            for i in range(1, m)]
+        children = [reference_child(rule, masks, b) for b in range(d)]
+        ctx = _Context(rule)
+        gamma = tuple(map(ctx.intern, masks))
+        for b in range(d):
+            assert [ctx.masks[s] for s in ctx.child(gamma, b)] == children[b]
+        self.check_tables(rule, ctx, gamma, children)
+        self.check_judge(ctx, gamma, groups)
+
+    @staticmethod
+    def check_tables(rule, ctx, gamma, children):
+        """Each id's entry in the child list of a branch is the id of its
+        reference child, and each of its residue tables counts its RMTs by
+        residue modulo d^(m-iota), in field group iota."""
+        d, m = ctx.d, ctx.m
+        for k, sid in enumerate(gamma):
+            assert [ctx.masks[ctx.child_slot[b][sid]] for b in range(d)] == [
+                children[b][k] for b in range(d)]
+        for sid in set(gamma):
+            mask = ctx.masks[sid]
+            tables = ctx.counts[sid]
+            assert len(tables) == m
+            for iota, packed in enumerate(tables):
+                step = d ** (m - iota) if iota else 1
+                buckets = [[0] * d for _ in range(step)]
+                for r in range(d ** m):
+                    if mask >> r & 1:
+                        buckets[r % step][rule.table[r]] += 1
+                assert [unpack_groups(total, d, m, ctx.width) for total in packed] == [
+                    [counts if g == iota else [0] * d for g in range(m)]
+                    for counts in buckets]
 
     @staticmethod
     def check_judge(ctx, gamma, groups):
@@ -293,6 +342,34 @@ class TestCheckReversible:
         result = check_reversible(rule_from_permutation(PERMUTATION_RULES[0]), 101)
         assert (result.reversible, result.unique_nodes,
                 result.last_unique_level) == (True, 6000, 61)
+
+    def test_ten_state_large_ring_work_counts(self):
+        # each slot content is expanded once per branch and no restricted
+        # mask is ever interned; work counts pinned, no timing
+        rule = rule_from_permutation("8572036419")
+        builder = _FixedSizeBuilder(rule, 101)
+        ctx = builder.ctx
+        interned = []
+        intern = ctx.intern
+
+        def counting_intern(mask):
+            interned.append(mask)
+            return intern(mask)
+
+        ctx.intern = counting_intern
+        builder.build()
+        builder.final_checks()
+        assert (builder.unique_nodes, builder.last_unique_level) == (6000, 61)
+        expanded = len(ctx.child_slot[0])
+        assert all(len(table) == expanded for table in ctx.child_slot)
+        # the root's slots, then d children per expanded content
+        assert len(interned) == ctx.num_sets + ctx.d * expanded
+        fresh = _Context(rule)
+        roots = {fresh.masks[s] for s in fresh.root()}
+        children = {ctx.masks[c] for table in ctx.child_slot for c in table}
+        assert set(ctx.masks) == roots | children
+        assert (len(ctx.masks), expanded, sum(map(len, ctx.judge))) == (
+            100, 100, 10_000)
 
     @pytest.mark.parametrize("text,m,n", [
         ("1001010101100101", 4, 5),
