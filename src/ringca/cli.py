@@ -178,8 +178,13 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_cycle(args) -> int:
     rule = _load_rule(args)
-    result = engine.cycle_length(rule, args.start, args.max_steps)
-    if result.truncated:
+    stats = _debug_to_stderr("ringca.engine") if args.stats \
+        else contextlib.nullcontext()
+    with stats:
+        result = engine.cycle_length(rule, args.start, args.max_steps)
+    if args.json:
+        print(json.dumps(dataclasses.asdict(result)))
+    elif result.truncated:
         print(f"no repeat within {result.steps_used} steps")
     else:
         print(f"cycle length {result.cycle_length}, tail {result.tail_length}")
@@ -277,6 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rule_args(p)
     p.add_argument("--start", required=True)
     p.add_argument("--max-steps", type=int, default=10_000_000)
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="print the steps taken, the cycle of rotation "
+                        "classes, the rotation and the tail to stderr")
     p.set_defaults(func=_cmd_cycle)
 
     p = sub.add_parser("spacetime", help="write a space-time PPM image")
@@ -306,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "stats", False) and args.strategy != "decimal":
+    if args.verb == "synthesize" and args.stats and args.strategy != "decimal":
         parser.error("--stats needs --strategy decimal")
     try:
         return args.func(args)

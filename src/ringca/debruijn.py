@@ -55,12 +55,13 @@ def _window_shift(d: int, m: int) -> tuple[int, ...]:
     return tuple(r % wrap * d for r in range(d ** m))
 
 
-def stepper(rule: Rule) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+def stepper(rule: Rule) -> Callable[[tuple[int, ...] | bytes], tuple[int, ...] | bytes]:
     """The synchronous update of ``rule`` under periodic boundary, as a
     function that trusts its argument: a non-empty tuple of states in
-    0..d-1 (see ``ring_cells``).  Callers that step one configuration many
-    times validate it once and call this; ``next_configuration`` is the
-    checked single step."""
+    0..d-1 (see ``ring_cells``), or the same states as ``bytes``.  The new
+    configuration has the type of the old one.  Callers that step one
+    configuration many times validate it once and call this;
+    ``next_configuration`` is the checked single step."""
     d, table, lr, rr = rule.d, rule.table, rule.lr, rule.rr
     shift = _window_shift(d, rule.m)
     reach = max(lr, rr)
@@ -78,7 +79,7 @@ def stepper(rule: Rule) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
         rmt = 0
         for c in head:
             rmt = rmt * d + c
-        return tuple([table[rmt := shift[rmt] + c] for c in feed])
+        return type(cells)([table[rmt := shift[rmt] + c] for c in feed])
 
     return step
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from math import gcd
 
 # next_configuration stays bound here: perfbench's traced run rebinds
 # engine.next_configuration, so the name must exist in this module
@@ -62,47 +63,77 @@ def cycle_length(rule: Rule, start: Sequence[int] | str, max_steps: int) -> Cycl
     ``steps_used``; when that exceeds ``max_steps`` the result is
     truncated, with ``steps_used == max_steps``.
 
-    No configuration is stored: memory is O(1) in the step count.  Each
-    configuration is compared with the start, so an orbit with tail 0
-    costs exactly its cycle length in steps, and with a tortoise parked
-    at steps 1, 2, 4, ... (Brent 1980).  That finds the cycle of an orbit
-    with a tail within 3(tail + cycle) steps; locating the tail then takes
-    up to cycle + 2 tail steps more, about 5(tail + cycle) in all.  A
-    truncated search may step up to 3 max_steps times.
+    The search follows rotation classes.  The global map G commutes with
+    the rotation σ of the ring (shift invariance), so the classes of an
+    orbit repeat with the same tail as its configurations and a class
+    cycle t' that divides the cycle: if G^t'(y) = σ^j(y) for y on the
+    cycle, the orbit closes after t'·p/gcd(p, j) steps, p being the
+    rotation period of y.  So an orbit with tail 0 (every orbit of a rule
+    that is reversible at that size) costs t' steps, not its cycle length.
+
+    No table of configurations or of their rotations is kept: memory is
+    O(n), and O(1) in the step count.  After each step one substring
+    search looks the configuration up among the rotations of the start
+    and of a tortoise parked at steps 1, 2, 4, ... (Brent 1980).  That
+    finds the class cycle of an orbit with a tail within 3(tail + t')
+    steps; locating the tail then takes t' + 2 tail steps more, about
+    5(tail + t') in all.  A truncated search may step up to 3 max_steps
+    times.  Each call logs one DEBUG record on the ``ringca.engine``
+    logger: the steps taken, t', j, p and the tail.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    start = ring_cells(start, rule.d)
     step = stepper(rule)
-    truncated = CycleResult(cycle_length=None, tail_length=None,
-                            truncated=True, steps_used=max_steps)
+    start = bytes(ring_cells(start, rule.d))
+    n = len(start)
+    # two copies of the start, a byte no cell takes, two of the tortoise:
+    # the hare found at k <= n is σ^k(start), found at 2n + 1 + k σ^k(tortoise)
+    home = start + start + bytes([rule.d])
+    rotations = home + start + start
     hare = tortoise = start
     parked, park = 0, 1  # the tortoise's step, the step it moves on to
-    for t in range(1, 3 * max_steps + 1):
+    for taken in range(1, 3 * max_steps + 1):
         hare = step(hare)
-        if hare == start:
-            if t > max_steps:
-                return truncated
-            return CycleResult(cycle_length=t, tail_length=0,
-                               truncated=False, steps_used=t)
-        if hare == tortoise:
-            # the hare is one lap ahead: (parked, park] is too short for two
-            cycle = t - parked
+        k = rotations.find(hare)
+        if k >= 0:
             break
-        if t == park:
-            tortoise, parked, park = hare, t, 2 * t
-    else:
-        return truncated
-    # the tail is the first step at which two walkers a cycle apart meet
-    ahead = start
-    for _ in range(cycle):
-        ahead = step(ahead)
-    behind, tail = start, 0
-    while behind != ahead:
-        if tail + 1 + cycle > max_steps:
-            return truncated
-        behind, ahead = step(behind), step(ahead)
-        tail += 1
+        if taken == park:
+            tortoise, parked, park = hare, taken, 2 * taken
+            rotations = home + hare + hare
+    # a loop that runs out leaves k == -1: no class repeats in 3 max_steps steps
+    classes = j = p = cycle = tail = None
+    if k > n:
+        # the hare is one class lap ahead: (parked, park] is too short for two
+        classes, j, cyclic = taken - parked, k - 2 * n - 1, tortoise
+    elif k >= 0:
+        classes, j, cyclic, tail = taken, k, start, 0
+    if classes is not None:
+        p = (cyclic + cyclic).find(cyclic, 1)
+        cycle = classes * p // gcd(p, j)
+    if tail is None and cycle is not None and cycle < max_steps:
+        # the tail is the first step at which two walkers a class cycle
+        # apart are rotations by j of each other; G commutes with σ, so
+        # the leading walker is rotated back by j once, before they walk
+        ahead = start
+        for _ in range(classes):
+            ahead = step(ahead)
+        ahead = ahead[n - j:] + ahead[:n - j]
+        behind, walked = start, 0
+        while behind != ahead and walked + cycle < max_steps:
+            behind, ahead = step(behind), step(ahead)
+            walked += 1
+        taken += classes + 2 * walked
+        if behind == ahead:
+            tail = walked
+    # imported here, as in synthesis: ringca.cli starts without logging
+    import logging
+    logging.getLogger(__name__).debug(
+        "cycle_length(n=%d, max_steps=%d): %d steps, class cycle %s, "
+        "rotation %s, rotation period %s, tail %s",
+        n, max_steps, taken, classes, j, p, tail)
+    if tail is None or tail + cycle > max_steps:
+        return CycleResult(cycle_length=None, tail_length=None,
+                           truncated=True, steps_used=max_steps)
     return CycleResult(cycle_length=cycle, tail_length=tail,
                        truncated=False, steps_used=tail + cycle)
 

@@ -208,6 +208,26 @@ class TestEvolveAndCycle:
                               "--max-steps", max_steps)
         assert code == 0 and out == line + "\n"
 
+    def test_cycle_json(self, capsys):
+        code, out, _ = invoke(capsys, "cycle", "--d", "2", "--m", "3",
+                              "--rule", "01101110", "--start", "0000000001",
+                              "--json")
+        assert code == 0
+        assert json.loads(out) == {"cycle_length": 25, "tail_length": 4,
+                                   "truncated": False, "steps_used": 29}
+
+    def test_cycle_stats(self, capsys):
+        argv = ("cycle", "--d", "2", "--m", "3", "--rule", "01101110",
+                "--start", "0000000001")
+        code, plain, err = invoke(capsys, *argv)
+        assert code == 0 and err == ""
+        code, out, err = invoke(capsys, *argv, "--stats")
+        assert code == 0 and out == plain
+        assert err == ("cycle_length(n=10, max_steps=10000000): 26 steps, "
+                       "class cycle 5, rotation 8, rotation period 10, tail 4\n")
+        # the handler is gone again
+        assert invoke(capsys, *argv)[2] == ""
+
     def test_cycle_empty_start(self):
         proc = python("-m", "ringca.cli", "cycle", "--d", "2", "--m", "3",
                       "--rule", "01101110", "--start", "")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ringca.debruijn import (DeBruijnGraph, fixed_point_attractors,
                              next_configuration, parse_configuration,
                              primary_rmt_sets, quiescent_states, rmt_sequence,
-                             trivial_reachability)
+                             stepper, trivial_reachability)
 from ringca.rules import Rule, eca, parse_rule
 
 from conftest import REJECTED_FILTER_RULE, STRATEGY_I_SAMPLE, STRATEGY_II_SAMPLE
@@ -57,6 +57,8 @@ class TestNextConfiguration:
             table[sum(cells[(i + off) % n] * d ** (rr - off) for off in range(-lr, rr + 1))]
             for i in range(n))
         assert next_configuration(rule, cells) == expected
+        # the same step on the byte form of the configuration
+        assert stepper(rule)(bytes(cells)) == bytes(expected)
 
     @pytest.mark.parametrize("cells", [(0, 3, 0), (0, -1, 0), (2,)])
     def test_rmt_sequence_rejects_bad_state(self, cells):

@@ -1,8 +1,11 @@
+import logging
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringca import engine
 from ringca.debruijn import as_cells, next_configuration
 from ringca.engine import (CycleResult, cycle_length, default_palette, evolve,
                            spacetime_raster)
@@ -70,8 +73,14 @@ class TestCycleLength:
         table = tuple(data.draw(st.lists(st.integers(0, d - 1),
                                          min_size=d ** m, max_size=d ** m)))
         rule = Rule(d, m, table, lr=data.draw(st.integers(0, m - 1)))
-        n = data.draw(st.integers(1, 9))
-        start = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
+        n = data.draw(st.integers(1, 12 if d == 2 else 9))
+        # half the starts repeat a block of q | n cells: their rotation
+        # period divides q, and so does that of every configuration after them
+        block = n
+        if data.draw(st.booleans()):
+            block = data.draw(st.sampled_from([q for q in range(1, n + 1) if n % q == 0]))
+        start = tuple(data.draw(st.lists(st.integers(0, d - 1),
+                                         min_size=block, max_size=block))) * (n // block)
         full = _reference_cycle_length(rule, start, d ** n + 1)
         first_repeat = full.steps_used
         budgets = {first_repeat - 1, first_repeat, first_repeat + 1,
@@ -91,6 +100,60 @@ class TestCycleLength:
             tracemalloc.stop()
         assert result.cycle_length == 121_275
         assert peak < 1 << 20, f"peak {peak} bytes"
+
+    def test_steps_by_rotation_class(self, monkeypatch):
+        # the n = 13 criterion-8 orbit is 13 laps of its class cycle: the
+        # search steps through one lap, not through 1,073,397 configurations
+        calls = 0
+        ca_step = engine.stepper
+
+        def counted_stepper(rule):
+            step = ca_step(rule)
+
+            def counted(cells):
+                nonlocal calls
+                calls += 1
+                return step(cells)
+            return counted
+
+        monkeypatch.setattr(engine, "stepper", counted_stepper)
+        result = cycle_length(parse_rule(FLOW_RULE, 3, 3), "0" * 12 + "1", 1_073_407)
+        assert result == CycleResult(cycle_length=1_073_397, tail_length=0,
+                                     truncated=False, steps_used=1_073_397)
+        assert calls < 1_073_397 // 13 + 100
+
+    def test_memory_linear_in_ring_size(self):
+        # a table of the rotations of a 50,000-cell ring would take 2.5 GB
+        rule = parse_rule(FLOW_RULE, 3, 3)
+        rng = random.Random(7)
+        start = bytes(rng.randrange(3) for _ in range(50_000))
+        tracemalloc.start()
+        try:
+            result = cycle_length(rule, start, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.truncated
+        assert peak < 8 << 20, f"peak {peak} bytes"
+
+    @pytest.mark.parametrize("digits, d, start, max_steps, message", [
+        (FLOW_RULE, 3, "0" * 12 + "1", 1_073_407,
+         "cycle_length(n=13, max_steps=1073407): 82569 steps, class cycle 82569, "
+         "rotation 8, rotation period 13, tail 0"),
+        ("01101110", 2, "0000000001", 100,  # ECA 110: cycle 25 = 5 · 10/gcd(10, 8)
+         "cycle_length(n=10, max_steps=100): 26 steps, class cycle 5, "
+         "rotation 8, rotation period 10, tail 4"),
+        (FLOW_RULE, 3, "0000001", 10,
+         "cycle_length(n=7, max_steps=10): 30 steps, class cycle None, "
+         "rotation None, rotation period None, tail None"),
+    ])
+    def test_debug_record(self, caplog, digits, d, start, max_steps, message):
+        rule = parse_rule(digits, d, 3)
+        with caplog.at_level(logging.DEBUG, logger="ringca.engine"):
+            cycle_length(rule, start, max_steps)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage() == message
 
     def test_quiescent_fixed_point(self):
         rule = parse_rule(FLOW_RULE, 3, 3)
