@@ -61,9 +61,40 @@ def stepper(rule: Rule) -> Callable[[tuple[int, ...] | bytes], tuple[int, ...] |
     0..d-1 (see ``ring_cells``), or the same states as ``bytes``.  The new
     configuration has the type of the old one.  Callers that step one
     configuration many times validate it once and call this;
-    ``next_configuration`` is the checked single step."""
-    d, table, lr, rr = rule.d, rule.table, rule.lr, rule.rr
-    shift = _window_shift(d, rule.m)
+    ``next_configuration`` is the checked single step.
+
+    There are two lookup routes, because ``bytes.translate`` takes only a
+    256-entry table.  When d^m <= 256 the ring is read as one integer
+    with one byte per cell, extended by lr cells on the left and rr on
+    the right (indices mod n, so rings shorter than the neighbourhood
+    need no case of their own).  One multiplication by sum d^k 256^(m-1-k)
+    adds the m shifted copies of that integer with their RMT weights; no
+    byte field exceeds d^m - 1 <= 255, so none carries into the next, and
+    byte i of the product's middle n bytes is the RMT of cell i.  One
+    ``translate`` then maps every RMT to its new state.  Larger tables,
+    all d = 10 rules among them, walk the ring cell by cell: each RMT is
+    the last one less its incoming cell (``_window_shift``) plus the
+    incoming cell.  In-byte variants with 16-bit fields for d = 10
+    (``list.__getitem__`` mapped over a 2-byte view, ``itemgetter`` on
+    it, paged translates with masks, two steps per pass through G^2)
+    were no faster than that walk."""
+    d, table, lr, rr, m = rule.d, rule.table, rule.lr, rule.rr, rule.m
+    if d ** m <= 256:
+        lookup = bytes(table).ljust(256, b"\0")
+        weights = sum(d ** k << 8 * (m - 1 - k) for k in range(m))
+        span = m - 1
+
+        def packed_step(cells: tuple[int, ...]) -> tuple[int, ...]:
+            n = len(cells)
+            first = -lr % n  # the left neighbour lr cells before cell 0
+            # enough copies of the ring to read n + m - 1 cells from ``first``
+            ext = (bytes(cells) * (2 - (1 - m) // n))[first:first + n + span]
+            rmts = (int.from_bytes(ext, "big") * weights).to_bytes(n + 2 * span, "big")
+            return type(cells)(rmts[span:span + n].translate(lookup))
+
+        return packed_step
+
+    shift = _window_shift(d, m)
     reach = max(lr, rr)
 
     def step(cells: tuple[int, ...]) -> tuple[int, ...]:

@@ -33,6 +33,24 @@ def _round_up_byte(bits: int) -> int:
     return ((bits + 7) // 8) * 8
 
 
+# cell states 0..9 (check_dims caps d at 10) as their ASCII digits
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+# int() of a longer digit string may raise under the interpreter's limit on
+# string conversions (3.11+); 640 is the lowest limit it can be set to
+_INT_DIGITS = 640
+
+
+def _window_value(digits: bytes, d: int) -> int:
+    """The base-d value of an ASCII digit string, in chunks int() accepts."""
+    if len(digits) <= _INT_DIGITS:
+        return int(digits, d)
+    value = 0
+    for at in range(0, len(digits), _INT_DIGITS):
+        chunk = digits[at:at + _INT_DIGITS]
+        value = value * d ** len(chunk) + int(chunk, d)
+    return value
+
+
 class Generator:
     """Sequential window PRNG over one CA.  Not safe for concurrent use."""
 
@@ -42,12 +60,15 @@ class Generator:
             raise ValueError(f"window width must be at least 1, got {width}")
         if width >= n:
             raise ValueError("window must be shorter than the ring")
+        if modulus is not None and (modulus < 2 or modulus & (modulus - 1)):
+            raise ValueError(
+                f"modulus must be a power of two >= 2, got {modulus}")
         self.rule = rule
         self.scheme = scheme
         self.width = width
         self.n = n
         self.modulus = modulus
-        self.cells: tuple[int, ...] | None = None
+        self.cells: bytes | None = None
         self._step = stepper(rule)  # seed validates the cells it trusts
         raw_bits = width * math.log2(rule.d)
         if modulus is not None:
@@ -61,8 +82,7 @@ class Generator:
         if len(window) != self.width:
             raise ValueError(
                 f"seed must supply {self.width} digits, got {len(window)}")
-        rest = (0,) * (self.n - self.width - 1) + (1,)
-        cells = window + rest
+        cells = bytes(window) + bytes(self.n - self.width - 1) + b"\1"
         for _ in range(self.n):
             cells = self._step(cells)
         self.cells = cells
@@ -72,10 +92,7 @@ class Generator:
         if self.cells is None:
             raise GeneratorStateError("generator has not been seeded")
         self.cells = self._step(self.cells)
-        value = 0
-        d = self.rule.d
-        for c in self.cells[: self.width]:
-            value = value * d + c
+        value = _window_value(self.cells[:self.width].translate(_DIGITS), self.rule.d)
         if self.modulus is not None:
             value %= self.modulus
         return value
@@ -132,7 +149,7 @@ def emit_stream(gen: Generator, spec: StreamSpec, out: BinaryIO) -> int:
     bits = spec.bits_per_output
     limit = 1 << bits
     buffer = 0
-    buffered = 0
+    buffered = 0  # bits in ``buffer``, always fewer than 8 between outputs
     written = 0
     for _ in range(spec.count):
         value = gen.next()
@@ -141,12 +158,12 @@ def emit_stream(gen: Generator, spec: StreamSpec, out: BinaryIO) -> int:
                 f"output {value} does not fit in {bits} bits")
         buffer = (buffer << bits) | value
         buffered += bits
-        while buffered >= 8:
-            buffered -= 8
-            out.write(bytes(((buffer >> buffered) & 0xFF,)))
+        whole, buffered = divmod(buffered, 8)
+        if whole:
+            out.write((buffer >> buffered).to_bytes(whole, "big"))
             buffer &= (1 << buffered) - 1
-            written += 1
+            written += whole
     if buffered:
-        out.write(bytes(((buffer << (8 - buffered)) & 0xFF,)))
+        out.write((buffer << (8 - buffered)).to_bytes(1, "big"))
         written += 1
     return written

@@ -13,6 +13,24 @@ from ringca.rules import Rule, eca, parse_rule
 from conftest import REJECTED_FILTER_RULE, STRATEGY_I_SAMPLE, STRATEGY_II_SAMPLE
 
 
+# (d, m) of the step tests: every table of at most 256 entries for d <= 4
+# and m <= 5, the boundary d^m = 256 (2^8, 4^4), and tables too large for
+# one byte per RMT (2^9 and d = 5..10 with m = 3)
+STEP_SHAPES = sorted(
+    {(d, m) for d in range(2, 5) for m in range(2, 6) if d ** m <= 256}
+    | {(2, 8), (2, 9)} | {(d, 3) for d in range(5, 11)})
+
+
+def all_windows_step(rule, cells):
+    """The next configuration, straight from the definition: cell i takes
+    the table entry of the RMT of cells i - lr .. i + rr, indices mod n."""
+    d, n = rule.d, len(cells)
+    return tuple(
+        rule.table[sum(cells[(i + off) % n] * d ** (rule.rr - off)
+                       for off in range(-rule.lr, rule.rr + 1))]
+        for i in range(n))
+
+
 class TestNextConfiguration:
     def test_traversal_example(self):
         rule = parse_rule("201210210201210210201210210", 3, 3)
@@ -43,21 +61,28 @@ class TestNextConfiguration:
     @settings(max_examples=300, deadline=None)
     def test_matches_all_windows_formula(self, data):
         """Any radii, including rings shorter than the neighbourhood,
-        whose windows wrap the ring more than once."""
-        d = data.draw(st.integers(2, 4))
-        m = data.draw(st.integers(2, 5).filter(lambda m: d ** m <= 256))
+        whose windows wrap the ring more than once, on both lookup routes:
+        tables of at most 256 entries (d^m = 256 included) and larger ones,
+        every d = 10 rule among them."""
+        d, m = data.draw(st.sampled_from(STEP_SHAPES))
         lr = data.draw(st.integers(0, m - 1))
-        rr = m - 1 - lr
-        table = tuple(data.draw(st.lists(st.integers(0, d - 1),
-                                         min_size=d ** m, max_size=d ** m)))
-        rule = Rule(d, m, table, lr=lr)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        rule = Rule(d, m, tuple(rng.randrange(d) for _ in range(d ** m)), lr=lr)
         n = data.draw(st.integers(1, 12))
         cells = tuple(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
-        expected = tuple(
-            table[sum(cells[(i + off) % n] * d ** (rr - off) for off in range(-lr, rr + 1))]
-            for i in range(n))
+        expected = all_windows_step(rule, cells)
         assert next_configuration(rule, cells) == expected
         # the same step on the byte form of the configuration
+        assert stepper(rule)(bytes(cells)) == bytes(expected)
+
+    @pytest.mark.parametrize("n", [997, 1000])
+    @pytest.mark.parametrize("lr", [0, 1, 2])
+    def test_long_ring_matches_all_windows_formula(self, n, lr):
+        rng = random.Random(n + lr)
+        rule = Rule(3, 3, tuple(rng.randrange(3) for _ in range(27)), lr=lr)
+        cells = tuple(rng.randrange(3) for _ in range(n))
+        expected = all_windows_step(rule, cells)
+        assert next_configuration(rule, cells) == expected
         assert stepper(rule)(bytes(cells)) == bytes(expected)
 
     @pytest.mark.parametrize("cells", [(0, 3, 0), (0, -1, 0), (2,)])

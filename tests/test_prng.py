@@ -1,8 +1,11 @@
+import hashlib
 import io
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ringca.engine import evolve
+from ringca.engine import evolve, trajectory
 from ringca.prng import (Generator, GeneratorStateError, StreamSpec,
                          binary_blocks, decimal_digits, emit_stream,
                          tri_window)
@@ -46,6 +49,17 @@ class TestGeometry:
     def test_tri_word_width(self, tri_rule):
         assert tri_window(tri_rule, 20).bits_per_output == 32
 
+    @pytest.mark.parametrize("modulus", [1000, 3, 1, 0, -8])
+    def test_modulus_not_a_power_of_two_rejected(self, tri_rule, modulus):
+        # 1000 would get 9 bits and fail mid-stream on an output >= 512
+        with pytest.raises(ValueError, match="power of two"):
+            Generator(tri_rule, "x", 3, 21, modulus=modulus)
+
+    @pytest.mark.parametrize("bits", [1, 9, 32])
+    def test_modulus_sets_output_width(self, tri_rule, bits):
+        gen = Generator(tri_rule, "x", 3, 21, modulus=1 << bits)
+        assert gen.bits_per_output == bits
+
 
 class TestOutputs:
     def test_unseeded_raises(self, tri_rule):
@@ -88,6 +102,37 @@ class TestOutputs:
                 expected = expected * 3 + c
             assert gen.next() == expected
 
+    @pytest.mark.parametrize("scheme", ["tri", "dec", "bin"])
+    def test_outputs_match_evolution_windows(self, tri_rule, dec_rule, scheme):
+        """Fifty outputs against the windows of an independent trajectory,
+        read as base-d numbers by Horner's rule (and reduced mod the
+        modulus for ``bin``)."""
+        gen, seed = {
+            "tri": (tri_window(tri_rule, 20), "01201201201201201201"),
+            "dec": (decimal_digits(dec_rule, 12), "314159265358"),
+            "bin": (binary_blocks(dec_rule, 1), "27182818284590"),
+        }[scheme]
+        gen.seed(seed)
+        start = tuple(map(int, seed)) + (0,) * (gen.n - gen.width - 1) + (1,)
+        traj = evolve(gen.rule, start, gen.n + 50)
+        for config in traj[gen.n + 1:]:
+            expected = horner(config[:gen.width], gen.rule.d)
+            if gen.modulus is not None:
+                expected %= gen.modulus
+            assert gen.next() == expected
+
+    def test_window_wider_than_int_digit_limit(self, tri_rule):
+        """4400 trits: more digits than int() converts by default on 3.11."""
+        width, n = 4400, 4401
+        gen = Generator(tri_rule, "tri", width, n)
+        seed = "".join(str(i * i % 3) for i in range(width))
+        gen.seed(seed)
+        start = tuple(map(int, seed)) + (1,)
+        configs = trajectory(tri_rule, start, n + 3)  # n + 4 rings of 4401 cells
+        for t, config in enumerate(configs):
+            if t > n:
+                assert gen.next() == horner(config[:width], 3)
+
     def test_determinism(self, dec_rule):
         a = binary_blocks(dec_rule, 1)
         b = binary_blocks(dec_rule, 1)
@@ -96,7 +141,65 @@ class TestOutputs:
         assert [a.next() for _ in range(20)] == [b.next() for _ in range(20)]
 
 
+def horner(digits, d):
+    value = 0
+    for c in digits:
+        value = value * d + c
+    return value
+
+
+class StubGenerator:
+    """Hands out fixed values in order, as ``emit_stream`` asks for them."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def next(self):
+        return next(self.values)
+
+
+def packed_by_bit_string(values, bits):
+    """Reference packing: MSB-first bit strings, zero-padded to a byte."""
+    text = "".join(format(v, f"0{bits}b") for v in values)
+    text += "0" * (-len(text) % 8)
+    return bytes(int(text[i:i + 8], 2) for i in range(0, len(text), 8))
+
+
+# sha256 of the first 4 KiB of three streams, recorded before the step and
+# the packing moved to byte strings
+STREAM_PINS = {
+    "tri": "78be0698aa60e72a6ec5ec0018bc38f09a27ba99284dee19aa38da40073432dd",
+    "bin": "eedbc7a0ad8983ad272432e4133186fac1ac3bf44d5eb2675bd06e66d7493ca0",
+    "dec": "ca8d1f9c25c11bca48cc4ac673aa55fe6542e3fa86f5c05c3754836ae92e8f20",
+}
+
+
 class TestStream:
+    @pytest.mark.parametrize("scheme", sorted(STREAM_PINS))
+    def test_first_4kib_pinned(self, tri_rule, scheme):
+        gen, seed = {
+            "tri": (tri_window(tri_rule, 20), "01201201201201201201"),
+            "bin": (binary_blocks(rule_from_permutation("8135940672"), 2),
+                    "0123456789012345678901234567"),
+            "dec": (decimal_digits(rule_from_permutation("5102847369"), 12),
+                    "314159265358"),
+        }[scheme]
+        gen.seed(seed)
+        bits = gen.bits_per_output
+        buf = io.BytesIO()
+        emit_stream(gen, StreamSpec(bits, math.ceil(4096 * 8 / bits)), buf)
+        assert hashlib.sha256(buf.getvalue()[:4096]).hexdigest() == STREAM_PINS[scheme]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_packing_matches_bit_strings(self, data):
+        bits = data.draw(st.integers(1, 70))
+        values = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=20))
+        buf = io.BytesIO()
+        written = emit_stream(StubGenerator(values), StreamSpec(bits, len(values)), buf)
+        assert buf.getvalue() == packed_by_bit_string(values, bits)
+        assert written == len(buf.getvalue()) == StreamSpec(bits, len(values)).byte_length
+
     def test_empty_stream(self, dec_rule):
         gen = binary_blocks(dec_rule, 1)
         gen.seed("0" * 14)
