@@ -216,7 +216,7 @@ def _cmd_prng(args) -> int:
         sink = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
         with sink as fh:
             for _ in range(args.count):
-                fh.write(f"{gen.next()}\n")
+                fh.write(f"{prng.decimal_text(gen.next())}\n")
         return 0
     spec = prng.StreamSpec(bits_per_output=gen.bits_per_output, count=args.count)
     if args.out:

@@ -63,31 +63,31 @@ def stepper(rule: Rule) -> Callable[[tuple[int, ...] | bytes], tuple[int, ...] |
     configuration many times validate it once and call this;
     ``next_configuration`` is the checked single step.
 
-    There are two lookup routes, because ``bytes.translate`` takes only a
-    256-entry table.  When d^m <= 256 the ring is read as one integer
-    with one byte per cell, extended by lr cells on the left and rr on
-    the right (indices mod n, so rings shorter than the neighbourhood
-    need no case of their own).  One multiplication by sum d^k 256^(m-1-k)
-    adds the m shifted copies of that integer with their RMT weights; no
-    byte field exceeds d^m - 1 <= 255, so none carries into the next, and
-    byte i of the product's middle n bytes is the RMT of cell i.  One
-    ``translate`` then maps every RMT to its new state.  Larger tables,
-    all d = 10 rules among them, walk the ring cell by cell: each RMT is
-    the last one less its incoming cell (``_window_shift``) plus the
-    incoming cell.  In-byte variants with 16-bit fields for d = 10
-    (``list.__getitem__`` mapped over a 2-byte view, ``itemgetter`` on
-    it, paged translates with masks, two steps per pass through G^2)
-    were no faster than that walk."""
-    d, table, lr, rr, m = rule.d, rule.table, rule.lr, rule.rr, rule.m
+    Both lookup routes read the ring through one wrap rule: the n + m - 1
+    cells from cell -lr mod n on, cut from enough copies of the ring that
+    rings shorter than the neighbourhood need no case of their own.  There
+    are two routes because ``bytes.translate`` takes only a 256-entry
+    table.  When d^m <= 256 those cells are read as one integer with one
+    byte per cell.  One multiplication by sum d^k 256^(m-1-k) adds the m
+    shifted copies of that integer with their RMT weights; no byte field
+    exceeds d^m - 1 <= 255, so none carries into the next, and byte i of
+    the product's middle n bytes is the RMT of cell i.  One ``translate``
+    then maps every RMT to its new state.  Larger tables, all d = 10 rules
+    among them, walk the cells: the first m - 1 form the window of cell -1
+    less its leftmost digit, and each next RMT is the last one less its
+    incoming cell (``_window_shift``) plus the incoming cell.  In-byte
+    variants with 16-bit fields for d = 10 (``list.__getitem__`` mapped
+    over a 2-byte view, ``itemgetter`` on it, paged translates with masks,
+    two steps per pass through G^2) were no faster than that walk."""
+    d, table, lr, m = rule.d, rule.table, rule.lr, rule.m
+    span = m - 1
     if d ** m <= 256:
         lookup = bytes(table).ljust(256, b"\0")
-        weights = sum(d ** k << 8 * (m - 1 - k) for k in range(m))
-        span = m - 1
+        weights = sum(d ** k << 8 * (span - k) for k in range(m))
 
         def packed_step(cells: tuple[int, ...]) -> tuple[int, ...]:
             n = len(cells)
-            first = -lr % n  # the left neighbour lr cells before cell 0
-            # enough copies of the ring to read n + m - 1 cells from ``first``
+            first = -lr % n
             ext = (bytes(cells) * (2 - (1 - m) // n))[first:first + n + span]
             rmts = (int.from_bytes(ext, "big") * weights).to_bytes(n + 2 * span, "big")
             return type(cells)(rmts[span:span + n].translate(lookup))
@@ -95,22 +95,15 @@ def stepper(rule: Rule) -> Callable[[tuple[int, ...] | bytes], tuple[int, ...] |
         return packed_step
 
     shift = _window_shift(d, m)
-    reach = max(lr, rr)
 
     def step(cells: tuple[int, ...]) -> tuple[int, ...]:
         n = len(cells)
-        # head: the window of cell -1 without its leftmost digit; feed:
-        # the cell each next window takes in, cells rr, rr+1, ... mod n
-        if n > reach:
-            head = cells[n - lr:] + cells[:rr]
-            feed = cells[rr:] + cells[:rr]
-        else:  # the neighbourhood wraps the ring more than once
-            head = [cells[j % n] for j in range(-lr, rr)]
-            feed = [cells[(i + rr) % n] for i in range(n)]
+        first = -lr % n
+        ext = (cells * (2 - (1 - m) // n))[first:first + n + span]
         rmt = 0
-        for c in head:
+        for c in ext[:span]:
             rmt = rmt * d + c
-        return type(cells)([table[rmt := shift[rmt] + c] for c in feed])
+        return type(cells)([table[rmt := shift[rmt] + c] for c in ext[span:]])
 
     return step
 
@@ -216,9 +209,8 @@ class DeBruijnGraph:
 
 
 def primary_rmt_sets(d: int, m: int, max_card: int) -> list[PrimaryRmtSet]:
-    """All elementary de Bruijn cycles of length <= max_card, as RMT sets."""
-    if max_card > d ** (m - 1):
-        max_card = d ** (m - 1)
+    """All elementary de Bruijn cycles of length <= max_card, as RMT sets.
+    None is longer than d^(m-1), the number of nodes."""
     graph = DeBruijnGraph(d, m)
     return [
         PrimaryRmtSet(rmts=c, d=d, m=m)
@@ -255,10 +247,10 @@ class ReachabilityVerdict:
     witness is any cycle of the R[r] = s subgraph other than the self-loop
     at node s...s; evolving the witness's configuration one step yields
     s^n.  Witnesses of length 1 are other trivial configurations; longer
-    witnesses are genuinely non-trivial predecessors.
+    witnesses are genuinely non-trivial predecessors.  Fixed points are
+    not part of the verdict: ``fixed_point_attractors`` finds them.
     """
 
-    nontrivial_fixed_points: tuple[tuple[PrimaryRmtSet, int], ...]
     reachable_trivials: tuple[tuple[int, PrimaryRmtSet], ...]
 
     def nontrivial_predecessors(self) -> list[tuple[int, PrimaryRmtSet]]:
@@ -267,7 +259,8 @@ class ReachabilityVerdict:
 
 
 def trivial_reachability(rule: Rule, max_len: int | None = None) -> ReachabilityVerdict:
-    """Find predecessors of every trivial configuration s^n."""
+    """Find predecessors of every trivial configuration s^n: the cycles,
+    up to ``max_len`` RMTs long, of each per-value subgraph R[r] = s."""
     graph = DeBruijnGraph(rule.d, rule.m)
     witnesses = []
     for s in range(rule.d):
@@ -277,12 +270,4 @@ def trivial_reachability(rule: Rule, max_len: int | None = None) -> Reachability
             if cycle == (own_loop,):
                 continue
             witnesses.append((s, PrimaryRmtSet(rmts=cycle, d=rule.d, m=rule.m)))
-    fixed = [
-        (p, period)
-        for p, period in fixed_point_attractors(rule, max_len=max_len)
-        if period >= 2
-    ]
-    return ReachabilityVerdict(
-        nontrivial_fixed_points=tuple(fixed),
-        reachable_trivials=tuple(witnesses),
-    )
+    return ReachabilityVerdict(reachable_trivials=tuple(witnesses))

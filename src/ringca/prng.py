@@ -35,9 +35,11 @@ def _round_up_byte(bits: int) -> int:
 
 # cell states 0..9 (check_dims caps d at 10) as their ASCII digits
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-# int() of a longer digit string may raise under the interpreter's limit on
-# string conversions (3.11+); 640 is the lowest limit it can be set to
+# int() of a longer digit string, or str() of a longer int, may raise under
+# the interpreter's limit on string conversions (3.11+); 640 is the lowest
+# limit it can be set to
 _INT_DIGITS = 640
+_INT_CHUNK = 10 ** _INT_DIGITS
 
 
 def _window_value(digits: bytes, d: int) -> int:
@@ -49,6 +51,16 @@ def _window_value(digits: bytes, d: int) -> int:
         chunk = digits[at:at + _INT_DIGITS]
         value = value * d ** len(chunk) + int(chunk, d)
     return value
+
+
+def decimal_text(value: int) -> str:
+    """A non-negative int as decimal digits, in chunks str() accepts."""
+    chunks = []
+    while value >= _INT_CHUNK:
+        value, low = divmod(value, _INT_CHUNK)
+        chunks.append(f"{low:0{_INT_DIGITS}d}")
+    chunks.append(str(value))
+    return "".join(reversed(chunks))
 
 
 class Generator:

@@ -16,7 +16,7 @@ from itertools import permutations, product
 
 from .debruijn import (fixed_point_attractors, quiescent_states,
                        trivial_reachability)
-from .rules import Rule, check_dims, information_flow, is_balanced
+from .rules import Rule, check_dims, information_flow
 
 # largest rule table, in RMTs (d^m), that the strategy generators build
 MAX_STRATEGY_RMTS = 1 << 20
@@ -227,19 +227,20 @@ def verify_rule(rule: Rule, max_len: int | None = 4) -> bool:
     """Accept a PRNG candidate: no periodic fixed point and no non-trivial
     predecessor of any trivial configuration, among cycles up to ``max_len``.
 
-    This is the one bad-cycle test on finished rules; it runs the package's
-    one cycle search, :meth:`DeBruijnGraph.cycles`, on each per-value
-    subgraph and on the self-replicating subgraph.  The cap mirrors the
-    staged cardinality limit of the synthesis.  It is also a hard
-    necessity: in a rule whose sibling sets are permutations, each of
+    This is the one bad-cycle test on finished rules.  It runs the
+    package's one cycle search, :meth:`DeBruijnGraph.cycles`, first on the
+    self-replicating subgraph (``fixed_point_attractors``), where a cycle
+    of length 2 or more rejects the rule, and then, only if none is
+    found, on each per-value subgraph (``trivial_reachability``).  The cap
+    mirrors the staged cardinality limit of the synthesis.  It is also a
+    hard necessity: in a rule whose sibling sets are permutations, each of
     those subgraphs has one outgoing edge per node, so each contains
     *some* cycle, of any length up to d^(m-1); only the short ones are
     controllable.
     """
-    verdict = trivial_reachability(rule, max_len=max_len)
-    if verdict.nontrivial_fixed_points:
+    if any(period >= 2 for _, period in fixed_point_attractors(rule, max_len=max_len)):
         return False
-    return not verdict.nontrivial_predecessors()
+    return not trivial_reachability(rule, max_len=max_len).nontrivial_predecessors()
 
 
 # -- staged decimal synthesis ------------------------------------------------
@@ -428,8 +429,6 @@ class _DecimalAssembler:
             self._set(r, v)
 
     def _prune(self, cycle: tuple[int, ...], r: int, allowed: list[int]) -> list[int]:
-        if len(cycle) < 2:
-            return allowed
         others = [x for x in cycle if x != r]
         pruned = list(allowed)
         if all(self.table[x] != -1 for x in others):
@@ -558,5 +557,5 @@ def satisfies_strategy(rule: Rule, kind: str) -> bool:
         groups = (rule.sibling_set(j) for j in range(num_sets))
     else:
         raise ValueError("kind must be 'I' or 'II'")
-    return is_balanced(rule) and all(
-        len({rule.table[r] for r in g}) == rule.d for g in groups)
+    # d^(m-1) groups of d RMTs, each holding every value once: balanced
+    return all(len({rule.table[r] for r in g}) == rule.d for g in groups)

@@ -199,10 +199,6 @@ class _Context:
         self.grow(max(gamma))
         return list(map(itemgetter(*gamma), self.child_slot))
 
-    def child(self, gamma: tuple[int, ...], branch: int) -> tuple[int, ...]:
-        """Child node along ``branch``."""
-        return self.children(gamma)[branch]
-
     def verdict(self, gamma: tuple[int, ...]) -> tuple[bool, frozenset[int]]:
         """Whether the node passes the generic balance and d^m count, and
         at which last levels n - iota its restricted content would fail."""
@@ -245,7 +241,7 @@ def child_node(node: TreeNode, rule: Rule, branch: int) -> tuple[TreeNode, TreeN
         raise ValueError(f"branch must be a state < {rule.d}")
     ctx = _Context(rule)
     masks = _to_masks(node)
-    child = ctx.child(tuple(map(ctx.intern, masks)), branch)
+    child = ctx.children(tuple(map(ctx.intern, masks)))[branch]
     vmask = ctx.value_mask[branch]
     return (_to_sets(g & vmask for g in masks),
             _to_sets(ctx.masks[sid] for sid in child))
@@ -522,11 +518,13 @@ class _FixedSizeBuilder(_Builder):
 
 
 def check_reversible(rule: Rule, n: int) -> ReversibilityCheck:
-    """Decide whether the global map is bijective for ring size ``n``."""
+    """Decide whether the global map is bijective for ring size ``n``.
+
+    An unbalanced rule needs no case of its own: the root's generic count
+    is the rule's balance, so its tree ends at the root, with M = 0.
+    """
     if n < rule.m:
         raise ValueError(f"ring size must be at least m={rule.m}, got {n}")
-    if not is_balanced(rule):
-        return ReversibilityCheck(n, False, 0, None)
     builder = _FixedSizeBuilder(rule, n)
     try:
         builder.build()

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -8,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import ringca
+from ringca import prng
 from ringca.cli import run
-from ringca.rules import Rule, self_replicating_rmts
+from ringca.rules import Rule, parse_rule, self_replicating_rmts
 from ringca.tree import ReversibilityReport
+
+from conftest import FLOW_RULE
 
 
 def invoke(capsys, *argv):
@@ -275,6 +279,20 @@ class TestFiles:
         code, out, _ = invoke(capsys, *argv, "--out", str(out_file))
         assert code == 0 and out == ""
         assert out_file.read_text() == expected
+
+    def test_prng_decimal_lines_beyond_int_digit_limit(self):
+        # a 9,100-trit window reads up to 3^9100 - 1, 4,342 digits, past
+        # the 4,300 that str() of an int accepts by default
+        width = 9100
+        proc = python("-m", "ringca.cli", "prng", "--d", "3", "--m", "3",
+                      "--rule", FLOW_RULE, "--scheme", "tri", "--width", str(width),
+                      "--count", "1", "--format", "decimal-lines")
+        assert proc.returncode == 0, proc.stderr
+        (line,) = proc.stdout.splitlines()
+        assert 4300 < len(line) <= 4342 and line[0] != "0"
+        gen = prng.tri_window(parse_rule(FLOW_RULE, 3, 3), width)
+        gen.seed("0" * width)
+        assert functools.reduce(lambda v, c: v * 10 + int(c), line, 0) == gen.next()
 
     def test_rule_file(self, capsys, tmp_path):
         rule_file = tmp_path / "rule.txt"

@@ -152,6 +152,16 @@ class TestPrimaryRmtSets:
         sets = primary_rmt_sets(3, 3, 9)
         assert frozenset().union(*(p.as_set() for p in sets)) == frozenset(range(27))
 
+    @pytest.mark.parametrize("d, m", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+    def test_no_cycle_longer_than_node_count(self, d, m):
+        # elementary cycles visit each of the d^(m-1) nodes at most once,
+        # so a larger bound changes nothing
+        nodes = d ** (m - 1)
+        sets = primary_rmt_sets(d, m, nodes)
+        assert max(p.cardinality for p in sets) == nodes
+        for bound in (nodes + 1, 2 * nodes, 10 ** 6):
+            assert primary_rmt_sets(d, m, bound) == sets
+
     def test_configuration_length_decomposition(self):
         """Every RMT sequence splits into primary cycles: some positive
         combination of their cardinalities reaches |x|."""

@@ -1,14 +1,15 @@
 import hashlib
 import io
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringca.engine import evolve, trajectory
 from ringca.prng import (Generator, GeneratorStateError, StreamSpec,
-                         binary_blocks, decimal_digits, emit_stream,
-                         tri_window)
+                         binary_blocks, decimal_digits, decimal_text,
+                         emit_stream, tri_window)
 from ringca.rules import parse_rule
 from ringca.synthesis import rule_from_permutation
 
@@ -132,6 +133,21 @@ class TestOutputs:
         for t, config in enumerate(configs):
             if t > n:
                 assert gen.next() == horner(config[:width], 3)
+
+    @pytest.mark.parametrize("value", [
+        0, 9, 10 ** 640 - 1, 10 ** 640, 10 ** 640 + 7, 5 * 10 ** 1280,
+        2 ** 14000 - 1])
+    def test_decimal_text(self, value):
+        # chunks of 640 digits below the first are zero-padded, and each
+        # converts under the lowest limit the interpreter can be set to
+        expected = str(value)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            text = decimal_text(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert text == expected
 
     def test_determinism(self, dec_rule):
         a = binary_blocks(dec_rule, 1)

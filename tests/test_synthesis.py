@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import logging
 import math
 import random
@@ -8,7 +9,8 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ringca.debruijn import fixed_point_attractors, quiescent_states
+from ringca.debruijn import (fixed_point_attractors, quiescent_states, stepper,
+                             trivial_reachability)
 from ringca.rules import Rule, information_flow, is_balanced, parse_rule
 from ringca import synthesis
 from ringca.synthesis import (MAX_STRATEGY_RMTS, Lcg, StrategySpec, _DeadEnd,
@@ -53,6 +55,32 @@ class TestStrategies:
         spec = StrategySpec("II", d=3, m=3, seed=4)
         for rule in generate_strategy(spec, 8):
             assert satisfies_strategy(rule, "II")
+
+    def test_predicate_implies_balance(self):
+        # the predicate has no balance test of its own: d distinct values in
+        # each of the d^(m-1) groups of d RMTs label d^(m-1) RMTs each
+        rng = random.Random(16)
+        satisfied = unbalanced = 0
+        for d, m in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
+            shape = Rule(d, m, (0,) * d ** m)
+            for kind, groups in (
+                    ("I", [shape.equivalent_set(i) for i in range(d ** (m - 1))]),
+                    ("II", [shape.sibling_set(j) for j in range(d ** (m - 1))])):
+                for _ in range(200):
+                    table = [0] * d ** m
+                    for g in groups:
+                        values = (rng.sample(range(d), d) if rng.random() < 0.8
+                                  else [rng.randrange(d) for _ in range(d)])
+                        for r, v in zip(g, values):
+                            table[r] = v
+                    rule = Rule(d, m, tuple(table))
+                    balanced = is_balanced(rule)
+                    unbalanced += not balanced
+                    for k in ("I", "II"):
+                        if satisfies_strategy(rule, k):
+                            satisfied += 1
+                            assert balanced, (rule.string, k)
+        assert satisfied > 300 and unbalanced > 300
 
     def test_sample_rule_is_strategy_i(self):
         assert satisfies_strategy(parse_rule(STRATEGY_I_SAMPLE, 3, 3), "I")
@@ -165,6 +193,66 @@ class TestFilters:
         for text in second_approach_rules[:30]:
             flow = information_flow(parse_rule(text, 3, 3))
             assert min(flow.left_changes, flow.right_changes) >= 8
+
+
+def bad_short_ring(rule: Rule, max_len: int):
+    """Brute force: a ring of 2..max_len cells, not all equal, that is a
+    fixed point or steps to a homogeneous configuration, or None.  Such a
+    ring walks a closed de Bruijn walk through at least two windows, so it
+    holds an elementary cycle of length 2..max_len that ``verify_rule``
+    rejects, and every such cycle spells such a ring."""
+    step = stepper(rule)
+    for n in range(2, max_len + 1):
+        for cells in itertools.product(range(rule.d), repeat=n):
+            if len(set(cells)) > 1:
+                image = step(cells)
+                if image == cells or len(set(image)) == 1:
+                    return cells
+    return None
+
+
+class TestVerifyRule:
+    @staticmethod
+    def check(rule, max_len):
+        """``verify_rule`` against the verdict as one formula, no fixed point
+        of period >= 2 and no non-trivial predecessor of a trivial
+        configuration, and against brute force on short rings."""
+        verdict = verify_rule(rule, max_len=max_len)
+        fixed = [p for p, period in fixed_point_attractors(rule, max_len=max_len)
+                 if period >= 2]
+        reach = trivial_reachability(rule, max_len=max_len)
+        assert verdict == (not fixed and not reach.nontrivial_predecessors()), rule.string
+        longest = max_len or rule.num_sets  # no cycle is longer than that
+        assert verdict == (bad_short_ring(rule, longest) is None), rule.string
+        return verdict
+
+    def test_permutation_fixtures(self):
+        for perm in PERMUTATION_RULES:
+            self.check(rule_from_permutation(perm), 4)
+
+    def test_each_search_rejects_on_its_own(self):
+        # every ring is a fixed point of the identity rule, and only s^n
+        # steps to s^n; the flow rule has no periodic fixed point, but
+        # non-trivial predecessors
+        identity = Rule(3, 3, tuple(r // 3 % 3 for r in range(27)))
+        flow = parse_rule(FLOW_RULE, 3, 3)
+        for rule in (identity, flow):
+            for max_len in (4, None):
+                assert not self.check(rule, max_len)
+        assert not trivial_reachability(identity).nontrivial_predecessors()
+        assert all(period == 1 for _, period in fixed_point_attractors(flow))
+
+    @pytest.mark.parametrize("kind", ["I", "II"])
+    def test_strategy_rules(self, kind):
+        for d, m, count in [(3, 3, 40), (4, 2, 20), (2, 4, 20)]:
+            for rule in generate_strategy(StrategySpec(kind, d=d, m=m, seed=16), count):
+                for max_len in (4, None):
+                    self.check(rule, max_len)
+
+    def test_passing_rules(self, second_approach_rules, decimal_rules):
+        rules = [parse_rule(t, 3, 3) for t in second_approach_rules]
+        assert all(self.check(rule, 4) for rule in rules + decimal_rules)
+        assert all(self.check(rule, None) for rule in rules[:10])
 
 
 class TestAssignmentStages:

@@ -5,13 +5,13 @@ from operator import getitem
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringca.rules import Rule, eca, parse_rule
+from ringca.rules import Rule, eca, is_balanced, parse_rule
 from ringca.synthesis import (StrategySpec, generate_strategy,
                               rule_from_permutation)
-from ringca.tree import (Classification, IrrevExpression, _Context,
-                         _FixedSizeBuilder, check_reversible, child_node, classify,
-                         merge_expressions, restrict_last_levels,
-                         reversible_sizes, root_node)
+from ringca.tree import (Classification, IrrevExpression, ReversibilityCheck,
+                         _Context, _FixedSizeBuilder, check_reversible,
+                         child_node, classify, merge_expressions,
+                         restrict_last_levels, reversible_sizes, root_node)
 
 from conftest import (PERMUTATION_RULES, brute_force_reversible,
                       pair_graph_bijective)
@@ -173,7 +173,7 @@ class TestSlotTables:
             for ctx in (shared, _Context(rule)):
                 gamma = tuple(map(ctx.intern, masks))
                 for b in range(d):
-                    assert [ctx.masks[s] for s in ctx.child(gamma, b)] == children[b]
+                    assert [ctx.masks[s] for s in ctx.children(gamma)[b]] == children[b]
                 self.check_tables(rule, ctx, gamma, children)
                 self.check_judge(ctx, gamma, groups)
 
@@ -198,7 +198,7 @@ class TestSlotTables:
         ctx = _Context(rule)
         gamma = tuple(map(ctx.intern, masks))
         for b in range(d):
-            assert [ctx.masks[s] for s in ctx.child(gamma, b)] == children[b]
+            assert [ctx.masks[s] for s in ctx.children(gamma)[b]] == children[b]
         self.check_tables(rule, ctx, gamma, children)
         self.check_judge(ctx, gamma, groups)
 
@@ -276,6 +276,21 @@ class TestCheckReversible:
     def test_unbalanced_rule(self):
         result = check_reversible(parse_rule("00000000", 2, 3), 5)
         assert not result.reversible and result.unique_nodes == 0
+        # every unbalanced ECA and random unbalanced tables end at the root,
+        # whose generic count is the rule's balance
+        rules = [rule for rule in map(eca, range(256)) if not is_balanced(rule)]
+        rng = random.Random(16)
+        for d, m in [(2, 2), (3, 2), (2, 4), (3, 3)]:
+            for _ in range(10):
+                rule = eca(0)
+                while is_balanced(rule):
+                    rule = Rule(d, m, tuple(rng.randrange(d) for _ in range(d ** m)))
+                rules.append(rule)
+        assert len(rules) == 186 + 40
+        for rule in rules:
+            for n in range(rule.m, 13):
+                assert check_reversible(rule, n) == ReversibilityCheck(
+                    n, False, 0, None), (rule.string, n)
 
     def test_size_below_neighborhood(self):
         with pytest.raises(ValueError):
