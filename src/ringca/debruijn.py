@@ -16,6 +16,8 @@ from functools import cache
 
 from .rules import Rule, self_replicating_rmts
 
+_MAX_CYCLES = 100_000  # one search keeps every cycle it finds: a memory bound
+
 
 def parse_configuration(text: str, d: int) -> tuple[int, ...]:
     """Parse a digit string into a cell tuple, validating states."""
@@ -63,22 +65,37 @@ def stepper(rule: Rule) -> Callable[[tuple[int, ...] | bytes], tuple[int, ...] |
     configuration many times validate it once and call this;
     ``next_configuration`` is the checked single step.
 
-    Both lookup routes read the ring through one wrap rule: the n + m - 1
-    cells from cell -lr mod n on, cut from enough copies of the ring that
-    rings shorter than the neighbourhood need no case of their own.  There
-    are two routes because ``bytes.translate`` takes only a 256-entry
-    table.  When d^m <= 256 those cells are read as one integer with one
-    byte per cell.  One multiplication by sum d^k 256^(m-1-k) adds the m
-    shifted copies of that integer with their RMT weights; no byte field
+    All three lookup routes read the ring through one wrap rule: the
+    n + m - 1 cells from cell -lr mod n on, cut from enough copies of the
+    ring that rings shorter than the neighbourhood need no case of their
+    own.  There are three routes because ``bytes.translate`` takes only a
+    256-entry table.
+
+    When d^m <= 256 (packed route) those cells are read as one integer with
+    one byte per cell.  One multiplication by sum d^k 256^(m-1-k) adds the
+    m shifted copies of that integer with their RMT weights; no byte field
     exceeds d^m - 1 <= 255, so none carries into the next, and byte i of
     the product's middle n bytes is the RMT of cell i.  One ``translate``
-    then maps every RMT to its new state.  Larger tables, all d = 10 rules
-    among them, walk the cells: the first m - 1 form the window of cell -1
-    less its leftmost digit, and each next RMT is the last one less its
-    incoming cell (``_window_shift``) plus the incoming cell.  In-byte
-    variants with 16-bit fields for d = 10 (``list.__getitem__`` mapped
-    over a 2-byte view, ``itemgetter`` on it, paged translates with masks,
-    two steps per pass through G^2) were no faster than that walk."""
+    then maps every RMT to its new state.
+
+    When d^(m-1) <= 256 and the rule's sibling sets (the RMTs that share
+    their left m - 1 digits) fall into K distinct maps from the incoming
+    cell to the new state with K d <= 256 (class route), the same reading
+    times sum d^k 256^(m-2-k) puts each cell's sibling index in a byte
+    (fields up to d^(m-1) - 1 <= 255).  One ``translate`` maps the indices
+    to their class times d.  Adding the reading itself, whose low n bytes
+    are the incoming cells, forms each cell's class entry without carries
+    (at most K d - 1 <= 255), and one ``translate`` through the K d-entry
+    class table gives the new states.  Every permutation-form rule
+    (``rule_from_permutation``) has K = 10, so its d = 10 step takes four
+    C-level calls.  This is a route of its own, not the packed route with
+    a class map, because the second translate and the addition make a
+    d = 3 step 1.4-1.6 times slower (n = 13-201).
+
+    Other tables, such as decimal synthesis rules (K = 100), walk the
+    cells: the first m - 1 form the window of cell -1 less its leftmost
+    digit, and each next RMT is the last one less its incoming cell
+    (``_window_shift``) plus the incoming cell."""
     d, table, lr, m = rule.d, rule.table, rule.lr, rule.m
     span = m - 1
     if d ** m <= 256:
@@ -93,6 +110,26 @@ def stepper(rule: Rule) -> Callable[[tuple[int, ...] | bytes], tuple[int, ...] |
             return type(cells)(rmts[span:span + n].translate(lookup))
 
         return packed_step
+
+    maps = [table[j:j + d] for j in range(0, d ** m, d)] if d ** span <= 256 else []
+    base_of = {sibling_map: k * d for k, sibling_map in enumerate(dict.fromkeys(maps))}
+    if maps and len(base_of) * d <= 256:
+        lead = span - 1
+        class_base = bytes(base_of[sibling_map] for sibling_map in maps).ljust(256, b"\0")
+        lookup = bytes(v for sibling_map in base_of for v in sibling_map).ljust(256, b"\0")
+        weights = sum(d ** k << 8 * (lead - k) for k in range(span))
+
+        def class_step(cells: tuple[int, ...]) -> tuple[int, ...]:
+            n = len(cells)
+            first = -lr % n
+            ext = (bytes(cells) * (2 - (1 - m) // n))[first:first + n + span]
+            wide = int.from_bytes(ext, "big")
+            sibs = (wide * weights).to_bytes(n + span + lead, "big")[lead:lead + n]
+            bases = int.from_bytes(sibs.translate(class_base), "big")
+            entries = (bases + wide).to_bytes(n + span, "big")[span:]
+            return type(cells)(entries.translate(lookup))
+
+        return class_step
 
     shift = _window_shift(d, m)
 
@@ -177,7 +214,8 @@ class DeBruijnGraph:
         cycle in canonical rotation; and no two RMTs share both ends, so
         node cycles and RMT cycles correspond one to one.  The search keeps
         an explicit stack, so unbounded searches on large graphs do not
-        depend on the recursion limit.
+        depend on the recursion limit.  A search that finds more than
+        ``_MAX_CYCLES`` cycles raises ``ValueError``.
         """
         if max_len is not None and max_len < 1:
             raise ValueError(f"cycle length bound must be at least 1, got {max_len}")
@@ -192,6 +230,10 @@ class DeBruijnGraph:
             while stack:
                 for head, r in stack[-1][1]:
                     if head == start:
+                        if len(out) == _MAX_CYCLES:
+                            raise ValueError(
+                                f"more than {_MAX_CYCLES} de Bruijn cycles; "
+                                "set a lower length bound (--max-cycle)")
                         out.append(tuple(path) + (r,))
                     elif (head > start and head not in on_path and head in succ
                           and (max_len is None or len(path) + 1 < max_len)):

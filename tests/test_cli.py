@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ringca
-from ringca import prng
+from ringca import debruijn, prng
 from ringca.cli import run
 from ringca.rules import Rule, parse_rule, self_replicating_rmts
 from ringca.tree import ReversibilityReport
@@ -118,6 +118,22 @@ class TestInfo:
                                 "--max-cycle", bound)
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_cycle_cap(self, capsys, monkeypatch):
+        # every RMT of the identity rule self-replicates, so its unbounded
+        # search meets all 148 elementary cycles of the 9-node graph
+        probe = Rule(3, 3, (0,) * 27)
+        identity = Rule(3, 3, tuple(probe.middle_digit(r) for r in range(27)))
+        monkeypatch.setattr(debruijn, "_MAX_CYCLES", 20)
+        code, out, err = invoke(capsys, "info", "--d", "3", "--m", "3",
+                                "--rule", identity.string)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "more than 20 de Bruijn cycles" in err and "--max-cycle" in err
+        code, out, _ = invoke(capsys, "info", "--d", "3", "--m", "3",
+                              "--rule", identity.string, "--max-cycle", "2")
+        assert code == 0
+        assert "quiescent states: [0, 1, 2]" in out
 
     def test_default_bound_on_large_graph(self):
         # every RMT self-replicates, so an unbounded search would enumerate

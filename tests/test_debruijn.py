@@ -4,13 +4,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringca import debruijn
 from ringca.debruijn import (DeBruijnGraph, fixed_point_attractors,
                              next_configuration, parse_configuration,
                              primary_rmt_sets, quiescent_states, rmt_sequence,
                              stepper, trivial_reachability)
 from ringca.rules import Rule, eca, parse_rule
+from ringca.synthesis import rule_from_permutation, synthesize_decimal
 
-from conftest import REJECTED_FILTER_RULE, STRATEGY_I_SAMPLE, STRATEGY_II_SAMPLE
+from conftest import (PERMUTATION_RULES, REJECTED_FILTER_RULE, STRATEGY_I_SAMPLE,
+                      STRATEGY_II_SAMPLE)
 
 
 # (d, m) of the step tests: every table of at most 256 entries for d <= 4
@@ -19,6 +22,26 @@ from conftest import REJECTED_FILTER_RULE, STRATEGY_I_SAMPLE, STRATEGY_II_SAMPLE
 STEP_SHAPES = sorted(
     {(d, m) for d in range(2, 5) for m in range(2, 6) if d ** m <= 256}
     | {(2, 8), (2, 9)} | {(d, 3) for d in range(5, 11)})
+
+
+# (d, m) of the class route: tables too large for one byte per RMT whose
+# d^(m-1) sibling sets fit a byte
+CLASS_SHAPES = [(d, m) for d in range(2, 11) for m in range(2, 10)
+                if d ** m > 256 >= d ** (m - 1)]
+
+
+def few_class_table(rng, d, m, k):
+    """A table whose d^(m-1) sibling sets take exactly k distinct maps from
+    the incoming cell to the new state."""
+    maps = []
+    while len(maps) < k:
+        sibling_map = tuple(rng.randrange(d) for _ in range(d))
+        if sibling_map not in maps:
+            maps.append(sibling_map)
+    sets = d ** (m - 1)
+    choice = list(range(k)) + [rng.randrange(k) for _ in range(sets - k)]
+    rng.shuffle(choice)
+    return tuple(v for c in choice for v in maps[c])
 
 
 def all_windows_step(rule, cells):
@@ -61,9 +84,10 @@ class TestNextConfiguration:
     @settings(max_examples=300, deadline=None)
     def test_matches_all_windows_formula(self, data):
         """Any radii, including rings shorter than the neighbourhood,
-        whose windows wrap the ring more than once, on both lookup routes:
+        whose windows wrap the ring more than once, on every lookup route:
         tables of at most 256 entries (d^m = 256 included) and larger ones,
-        every d = 10 rule among them."""
+        every d = 10 rule among them.  Uniform tables reach the class route
+        only at 2^9 (``TestClassRoute`` draws its tables)."""
         d, m = data.draw(st.sampled_from(STEP_SHAPES))
         lr = data.draw(st.integers(0, m - 1))
         rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
@@ -119,6 +143,70 @@ class TestNextConfiguration:
         for r, s in zip(seq, seq[1:] + seq[:1]):
             assert graph.edge_ends(r)[1] == graph.edge_ends(s)[0]
         assert tuple(rule.table[r] for r in seq) == next_configuration(rule, cells)
+
+
+def largest_fitting_class_count(d, m):
+    """The most sibling maps a (d, m) table can have on the class route."""
+    return min(256 // d, d ** d, d ** (m - 1))
+
+
+class TestClassRoute:
+    """Tables with more than 256 entries whose sibling sets fall into K
+    distinct maps, K d <= 256, step by sibling class; the rest walk."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_all_windows_formula(self, data):
+        d, m = data.draw(st.sampled_from(CLASS_SHAPES))
+        k = data.draw(st.integers(1, largest_fitting_class_count(d, m)))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        rule = Rule(d, m, few_class_table(rng, d, m, k), lr=data.draw(st.integers(0, m - 1)))
+        n = data.draw(st.integers(1, 12))
+        cells = tuple(rng.randrange(d) for _ in range(n))
+        step = stepper(rule)
+        assert step.__name__ == "class_step"
+        expected = all_windows_step(rule, cells)
+        assert step(cells) == expected
+        assert step(bytes(cells)) == bytes(expected)
+
+    @pytest.mark.parametrize("d, m, k, route", [
+        *[(d, m, largest_fitting_class_count(d, m), "class_step")
+          for d, m in CLASS_SHAPES],
+        # K d just above 256; d = 2 and 3 have at most 4 and 27 maps
+        *[(d, m, 256 // d + 1, "step") for d, m in CLASS_SHAPES if d > 3],
+    ])
+    def test_route_boundary(self, d, m, k, route):
+        """The largest class count that fits a byte (K d = 256 exactly at
+        d = 4 and 8) and the smallest that does not, for every radius, on
+        rings of 1-12 cells and two long rings."""
+        rng = random.Random(d * 1000 + m * 100 + k)
+        table = few_class_table(rng, d, m, k)
+        for lr in range(m):
+            rule = Rule(d, m, table, lr=lr)
+            step = stepper(rule)
+            assert step.__name__ == route
+            for n in [*range(1, 13), 997, 1000]:
+                cells = tuple(rng.randrange(d) for _ in range(n))
+                expected = all_windows_step(rule, cells)
+                assert step(cells) == expected, (lr, n)
+                assert step(bytes(cells)) == bytes(expected), (lr, n)
+
+    @pytest.mark.parametrize("perm", PERMUTATION_RULES)
+    def test_permutation_rules(self, perm):
+        # every permutation-form rule has K = 10 sibling maps
+        rule = rule_from_permutation(perm)
+        step = stepper(rule)
+        assert step.__name__ == "class_step"
+        rng = random.Random(perm)
+        for n in range(1, 211):
+            cells = tuple(rng.randrange(10) for _ in range(n))
+            expected = all_windows_step(rule, cells)
+            assert step(cells) == expected, n
+            assert step(bytes(cells)) == bytes(expected), n
+
+    def test_decimal_synthesis_rule_walks(self):
+        rule = synthesize_decimal(1, seed=3)[0]
+        assert stepper(rule).__name__ == "step"
 
 
 class TestPrimaryRmtSets:
@@ -225,6 +313,20 @@ class TestCycleSearch:
     def test_rejects_bound_below_one(self, max_len):
         with pytest.raises(ValueError, match="at least 1"):
             DeBruijnGraph(2, 3).cycles(range(8), max_len=max_len)
+
+    def test_cycle_count_capped(self, monkeypatch):
+        graph = DeBruijnGraph(3, 3)
+        full = graph.cycles(range(27))
+        assert len(full) == 148
+        monkeypatch.setattr(debruijn, "_MAX_CYCLES", 148)
+        assert graph.cycles(range(27)) == full
+        monkeypatch.setattr(debruijn, "_MAX_CYCLES", 147)
+        with pytest.raises(ValueError, match="more than 147 de Bruijn cycles.*--max-cycle"):
+            graph.cycles(range(27))
+        # a length bound keeps the same search under the cap
+        assert graph.cycles(range(27), max_len=3) == [c for c in full if len(c) <= 3]
+        with pytest.raises(ValueError, match="--max-cycle"):
+            primary_rmt_sets(3, 3, 9)
 
 
 class TestFixedPoints:

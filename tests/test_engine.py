@@ -10,6 +10,7 @@ from ringca.debruijn import as_cells, next_configuration
 from ringca.engine import (CycleResult, cycle_length, default_palette, evolve,
                            spacetime_raster)
 from ringca.rules import Rule, eca, parse_rule
+from ringca.synthesis import rule_from_permutation
 
 from conftest import FLOW_RULE
 
@@ -153,6 +154,25 @@ class TestCycleLength:
             cycle_length(rule, start, max_steps)
         (record,) = caplog.records
         assert record.levelno == logging.DEBUG
+        assert record.getMessage() == message
+
+    # permutation 8135940672 from 0...01, recorded before the d = 10 step
+    # moved to sibling classes
+    @pytest.mark.parametrize("n, max_steps, result, message", [
+        (101, 400, CycleResult(cycle_length=None, tail_length=None,
+                               truncated=True, steps_used=400),
+         "cycle_length(n=101, max_steps=400): 1200 steps, class cycle None, "
+         "rotation None, rotation period None, tail None"),
+        (9, 200_000, CycleResult(cycle_length=85_023, tail_length=5_220,
+                                 truncated=False, steps_used=90_243),
+         "cycle_length(n=9, max_steps=200000): 45718 steps, class cycle 9447, "
+         "rotation 1, rotation period 9, tail 5220"),
+    ])
+    def test_permutation_rule_pinned(self, caplog, n, max_steps, result, message):
+        rule = rule_from_permutation("8135940672")
+        with caplog.at_level(logging.DEBUG, logger="ringca.engine"):
+            assert cycle_length(rule, "0" * (n - 1) + "1", max_steps) == result
+        (record,) = caplog.records
         assert record.getMessage() == message
 
     def test_quiescent_fixed_point(self):

@@ -181,11 +181,13 @@ def packed_by_bit_string(values, bits):
     return bytes(int(text[i:i + 8], 2) for i in range(0, len(text), 8))
 
 
-# sha256 of the first 4 KiB of three streams, recorded before the step and
-# the packing moved to byte strings
+# sha256 of the first 4 KiB of four streams, recorded before the step and
+# the packing moved to byte strings (bin1: before the d = 10 step moved to
+# sibling classes)
 STREAM_PINS = {
     "tri": "78be0698aa60e72a6ec5ec0018bc38f09a27ba99284dee19aa38da40073432dd",
     "bin": "eedbc7a0ad8983ad272432e4133186fac1ac3bf44d5eb2675bd06e66d7493ca0",
+    "bin1": "2612ad04b9ceac27a8b16f21d093015c38416d64fb0121b8439b058aab64a299",
     "dec": "ca8d1f9c25c11bca48cc4ac673aa55fe6542e3fa86f5c05c3754836ae92e8f20",
 }
 
@@ -197,6 +199,8 @@ class TestStream:
             "tri": (tri_window(tri_rule, 20), "01201201201201201201"),
             "bin": (binary_blocks(rule_from_permutation("8135940672"), 2),
                     "0123456789012345678901234567"),
+            "bin1": (binary_blocks(rule_from_permutation("8135940672"), 1),
+                     "01234567890123"),
             "dec": (decimal_digits(rule_from_permutation("5102847369"), 12),
                     "314159265358"),
         }[scheme]
