@@ -55,9 +55,10 @@ def parse_rule_spec(text: str) -> Rule:
 def _add_rule_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, default=3, help="states per cell")
     p.add_argument("--m", type=int, default=3, help="neighborhood size")
-    p.add_argument("--rule", help="rule digit string, highest RMT first")
-    p.add_argument("--perm", help="10-digit permutation form of a decimal rule")
-    p.add_argument("--rule-file", help="file with `d=.. m=.. rule=..`")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--rule", help="rule digit string, highest RMT first")
+    source.add_argument("--perm", help="10-digit permutation form of a decimal rule")
+    source.add_argument("--rule-file", help="file with `d=.. m=.. rule=..`")
 
 
 def _cmd_classify(args) -> int:

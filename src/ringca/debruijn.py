@@ -145,9 +145,20 @@ def stepper(rule: Rule) -> Callable[[tuple[int, ...] | bytes], tuple[int, ...] |
     return step
 
 
+_last_step: tuple[Rule, Callable] | None = None  # see next_configuration
+
+
 def next_configuration(rule: Rule, config: Sequence[int] | str) -> tuple[int, ...]:
-    """One synchronous update of ``config`` under periodic boundary."""
-    return stepper(rule)(ring_cells(config, rule.d))
+    """One synchronous update of ``config`` under periodic boundary.
+
+    The stepper of the last rule is kept, so that single steps of one
+    rule build its lookup tables once.
+    """
+    global _last_step
+    memo = _last_step
+    if memo is None or memo[0] != rule:
+        memo = _last_step = rule, stepper(rule)
+    return memo[1](ring_cells(config, rule.d))
 
 
 def rmt_sequence(rule: Rule, config: Sequence[int] | str) -> tuple[int, ...]:

@@ -22,28 +22,41 @@ restricted content would fail.  Both judgements surface as progressions
 of irreversible ring sizes, the same (start, period) type as the node's
 occurrence claims: a generic failure as every size from its first level
 plus m on, a bad last level iota as each claim shifted by iota, reported
-again whenever a re-occurrence grows the claims.
+once per claim: at creation, and for each claim a re-occurrence adds.
 
 A slot's content is an integer bitmask over the d^m RMTs; RMT
 multiplicity across the d^(m-1) set slots is what the balance and
 cardinality conditions count.  One rule's tree holds few distinct slot
 contents (100 for the 10-state rule of permutation 8572036419, against
-100 slots in each of thousands of nodes), so each gets a small int id,
-and a node is stored as the tuple of its slot ids.  Per-rule tables,
-kept for one ``check_reversible`` or ``classify`` call, are indexed by
-id.  One list per branch holds each id's child along that branch; the
-lists grow in id order before a parent is expanded, so its d children
-are d reads of its id tuple.  Value counts are packed into one int, with
-fields wide enough that a node's sum never carries: a node is balanced
-with the right total t exactly when its slots' packed counts sum to t/d
-in every field.  Level n - iota keeps in slot k the RMTs r with r mod
-d^(m-iota) = k div d^(iota-1), so the counts of a slot's restriction are
-one entry of a per-content table of counts by residue.  One table per
-slot index packs, entry by entry on first use, the counts of the full
-content and of its restriction to every last level, one field group per
-level, so judging a unique node is one sum over its slots.  No
-restricted content or node is ever built: a fixed-size check judges the
-levels below n - m + 1 by walking full contents with the same verdict.
+100 slots in each of thousands of nodes), so each gets a small int id.
+Per-rule tables, kept for one ``check_reversible`` or ``classify`` call,
+are indexed by id.  One list per branch holds each id's child along that
+branch; the lists grow in id order before a parent is expanded.
+
+A node is stored as ``bytes`` of its slot ids, one byte per slot, so
+its d children are d ``bytes.translate`` calls through the child lists
+as 256-byte tables, and a node's hash, taken by the index lookup that
+finds most children already known, is computed once.  Ids fit a byte
+only while the tree holds at most 256 contents; a tree that meets a
+257th (a random balanced 10-state rule meets over 300 among the root's
+children) is built again from the root with tuple nodes, whose children
+are one ``itemgetter`` read of each child list.  The build is
+deterministic, so the node type is the only difference between the two.
+
+Value counts are packed into one int, with fields wide enough that a
+node's sum never carries: a node is balanced with the right total t
+exactly when its slots' packed counts sum to t/d in every field.  Level
+n - iota keeps in slot k the RMTs r with r mod d^(m-iota) = k div
+d^(iota-1), so the counts of a slot's restriction are one entry of a
+per-content table of counts by residue.  One list per slot index holds,
+by id, the counts of the full content and of its restriction to every
+last level, one field group per level, so judging a unique node is one
+sum over its slots.  An entry is filled when a node first holds that
+content in that slot: the trees that check every (slot index, content)
+pair are the large ones, and a short tree with many contents uses few.
+No restricted content or node is ever built: a fixed-size check judges
+the levels below n - m + 1 by walking full contents with the same
+verdict.
 """
 
 from __future__ import annotations
@@ -51,7 +64,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from operator import getitem, itemgetter
 
 from .rules import Rule, is_balanced
@@ -69,31 +81,28 @@ class TreeSizeError(RuntimeError):
 # rule-specific precomputation and node primitives
 
 
-class _SlotTable(dict):
-    """Memo of a per-slot function, filled on first lookup."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        out = self[key] = self.fn(key)
-        return out
+class _WideNodes(Exception):
+    """A tree of byte nodes met its 257th slot content."""
 
 
 class _Context:
     """Per-rule tables used by all node operations.
 
-    A node is a tuple of slot ids.  Each distinct slot content, a bitmask
-    over the d^m RMTs, gets a small int id when first met (``intern``).
+    Each distinct slot content, a bitmask over the d^m RMTs, gets a small
+    int id when first met (``intern``).  ``root`` makes a node ``bytes``
+    of its slot ids while the context holds at most 256 contents, and a
+    tuple of them after; a node's children have its type.
 
     ``child_slot[b]`` is a list mapping a slot id to the id of its child
     along branch b.  ``grow(top)`` fills the d lists in id order up to
-    ``top``, so each content is expanded once per branch, and a node's d
-    children (``children``) are one ``itemgetter(*gamma)`` applied to each
-    list.
+    ``top``, so each content is expanded once per branch.  While every id
+    fits a byte, ``tables[b]`` holds the same list as a 256-byte translate
+    table, rebuilt whenever ``grow`` expands new ids, and the children of
+    a byte node are d ``bytes.translate`` calls.  The 257th content ends
+    the tables (``tables`` becomes None), and ``children`` of a byte node
+    then raises ``_WideNodes``, so that the build starts again from the
+    root with tuple nodes, whose children are one ``itemgetter(*gamma)``
+    read of each child list.
 
     ``judge[k]`` maps the id held in slot k to one int of m field groups:
     group 0 holds the d value counts of the full content, group iota
@@ -101,11 +110,12 @@ class _Context:
     keeps the RMTs r with ``r % d**(m-iota) == k // d**(iota-1)``.  So
     group iota is one entry of the content's residue table for iota, its
     value counts by residue of r modulo d**(m-iota) (``counts``, filled
-    when the content is interned); ``judge`` itself is filled one (slot
-    index, id) entry at a time, on first lookup.  A node's verdict is one
-    sum per unique node, ``sum(map(getitem, judge, gamma))``: its group 0
-    must read d^m RMTs, balanced, and each group iota d^iota, or the node
-    fails at n - iota.
+    when the content is interned).  A node's verdict is one sum per unique
+    node, ``sum(map(getitem, judge, gamma))``, over plain lists; a node
+    that holds an id in a slot for the first time fails that sum on a
+    missing entry, and ``_fill`` writes the node's entries before the sum
+    is taken again.  The total's group 0 must read d^m RMTs, balanced, and
+    each group iota d^iota, or the node fails at n - iota.
     """
 
     def __init__(self, rule: Rule):
@@ -137,29 +147,38 @@ class _Context:
         self.steps = [1] + [d ** (m - iota) for iota in range(1, m)]
         self.units = [[1 << (v * self.width + iota * self.group) for v in rule.table]
                       for iota in range(m)]
+        # per slot index: the residue slot k keeps in each field group
+        self.residues = [(0, *(k // d ** (iota - 1) for iota in range(1, m)))
+                         for k in range(self.num_sets)]
         self.masks: list[int] = []  # slot id -> RMT bitmask
         self.ids: dict[int, int] = {}  # RMT bitmask -> slot id
         self.counts: list[list[list[int]]] = []  # slot id -> residue tables
-        # slot id -> child slot id, one list per branch
+        # per slot index: slot id -> packed counts of every field group,
+        # or None until a node holds the id in that slot
+        self.judge: list[list[int | None]] = [[] for _ in range(self.num_sets)]
+        # slot id -> child slot id, one list per branch, and the same as
+        # translate tables while every id fits a byte
         self.child_slot: list[list[int]] = [[] for _ in range(d)]
-        # per slot index: slot id -> packed counts of every field group
-        self.judge = [_SlotTable(partial(self._judge, (0, *(
-            k // d ** (iota - 1) for iota in range(1, m)))))
-            for k in range(self.num_sets)]
+        self.tables: list[bytes] | None = [bytes(256)] * d
 
     def intern(self, mask: int) -> int:
         """Slot id of one slot's RMT bitmask."""
         sid = self.ids.get(mask)
         if sid is None:
             sid = self.ids[mask] = len(self.masks)
+            if sid == 256:
+                self.tables = None  # ids no longer fit a byte
             self.masks.append(mask)
             self.counts.append(self._counts(mask))
         return sid
 
     def grow(self, top: int) -> None:
         """Fill the child lists of every slot id up to ``top``."""
+        start = len(self.child_slot[0])
+        if top < start:
+            return
         expand = self.expand
-        for sid in range(len(self.child_slot[0]), top + 1):
+        for sid in range(start, top + 1):
             mask = self.masks[sid]
             for vmask, table in zip(self.value_mask, self.child_slot):
                 # the sibling sets of the slot's RMTs labelled with the branch
@@ -170,6 +189,8 @@ class _Context:
                     out |= expand[low.bit_length() - 1]
                     bits ^= low
                 table.append(self.intern(out))
+        if self.tables is not None:
+            self.tables = [bytes(table).ljust(256, b"\0") for table in self.child_slot]
 
     def _counts(self, mask: int) -> list[list[int]]:
         """Residue tables of a content, one per field group: group iota
@@ -184,25 +205,41 @@ class _Context:
             mask ^= low
         return tables
 
-    def _judge(self, residues: tuple[int, ...], sid: int) -> int:
-        """Packed counts of content ``sid`` in a slot that keeps residue
-        ``residues[iota]`` at level n - iota."""
-        return sum(map(getitem, self.counts[sid], residues))
+    def _fill(self, gamma: bytes | tuple[int, ...]) -> None:
+        """Fill the judge entries of the node's (slot index, id) pairs."""
+        top = len(self.masks)
+        for table, residues, sid in zip(self.judge, self.residues, gamma):
+            if len(table) < top:
+                table.extend([None] * (top - len(table)))
+            if table[sid] is None:
+                table[sid] = sum(map(getitem, self.counts[sid], residues))
 
-    def root(self) -> tuple[int, ...]:
+    def root(self) -> bytes | tuple[int, ...]:
+        """The root node, as bytes while the ids fit a byte."""
         block = (1 << self.d) - 1
-        return tuple(self.intern(block << (self.d * k)) for k in range(self.num_sets))
+        ids = [self.intern(block << (self.d * k)) for k in range(self.num_sets)]
+        return tuple(ids) if self.tables is None else bytes(ids)
 
-    def children(self, gamma: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The node's d children, in branch order: one read of each child
-        list."""
+    def children(self, gamma: bytes | tuple[int, ...]) -> list:
+        """The node's d children, in branch order and of its type: one
+        translate or one read of each child list.  Raises ``_WideNodes``
+        if a child of a byte node holds an id past 255."""
         self.grow(max(gamma))
-        return list(map(itemgetter(*gamma), self.child_slot))
+        if type(gamma) is tuple:
+            return list(map(itemgetter(*gamma), self.child_slot))
+        if self.tables is None:
+            raise _WideNodes
+        return [gamma.translate(table) for table in self.tables]
 
-    def verdict(self, gamma: tuple[int, ...]) -> tuple[bool, frozenset[int]]:
+    def verdict(self, gamma: bytes | tuple[int, ...]) -> tuple[bool, frozenset[int]]:
         """Whether the node passes the generic balance and d^m count, and
         at which last levels n - iota its restricted content would fail."""
-        diff = sum(map(getitem, self.judge, gamma)) ^ self.passing
+        try:
+            total = sum(map(getitem, self.judge, gamma))
+        except (IndexError, TypeError):  # an entry not yet filled
+            self._fill(gamma)
+            total = sum(map(getitem, self.judge, gamma))
+        diff = total ^ self.passing
         if not diff:
             return True, frozenset()
         mask = self.group_mask
@@ -310,8 +347,8 @@ class _Builder:
     which the CA is irreversible; raising from it aborts construction.  A node failing the generic condition reports
     ``(created_level + m, 1)`` before it is appended, so a fixed-size check
     that stops there does not count it in M.  A node with bad last levels
-    reports ``(s + iota, p)`` for each claim (s, p) and bad iota whenever
-    its claims grow, creation included.
+    reports ``(s + iota, p)`` for each bad iota and each claim (s, p) it
+    gains, its claims at creation included.
 
     Two invariants make these reports complete:
 
@@ -326,8 +363,6 @@ class _Builder:
 
     def __init__(self, rule: Rule):
         self.ctx = _Context(rule)
-        self.nodes: list[_Node] = []
-        self.index: dict[tuple[int, ...], int] = {}
 
     def _found(self, sizes) -> None:
         """The CA is irreversible at every size of the (start, period)
@@ -352,12 +387,13 @@ class _Builder:
         node = _Node(gamma, levels, claims, bad_iotas, created_level)
         self.nodes.append(node)
         self.index[gamma] = uid
-        self._claims_grew(node)
+        self._claims_grew(node, claims)
         return uid
 
-    def _claims_grew(self, nd: _Node) -> None:
+    def _claims_grew(self, nd: _Node, new) -> None:
+        """Report the bad last levels of ``nd`` at its ``new`` claims."""
         if nd.bad_iotas:
-            self._found((s + iota, p) for iota in nd.bad_iotas for s, p in nd.claims)
+            self._found((s + iota, p) for iota in nd.bad_iotas for s, p in new)
 
     def _record_occurrence(self, uid: int, i: int) -> None:
         """Apply the loop-relevance rules for a re-occurrence at level i."""
@@ -370,7 +406,7 @@ class _Builder:
             # set anchored to the loop tail and record the point on its own
             if (i, 0) not in nd.claims:
                 nd.claims.add((i, 0))
-                self._claims_grew(nd)
+                self._claims_grew(nd, ((i, 0),))
                 self._update_subtree(uid)
             return
         if len(nd.levels) == 1:
@@ -404,11 +440,11 @@ class _Builder:
 
     def _changed(self, uid: int) -> None:
         nd = self.nodes[uid]
-        before = len(nd.claims)
-        nd.claims |= _state_claims(nd.levels)
-        if len(nd.claims) == before:
+        new = _state_claims(nd.levels) - nd.claims
+        if not new:
             return  # nothing new to propagate; also breaks link cycles
-        self._claims_grew(nd)
+        nd.claims |= new
+        self._claims_grew(nd, new)
         self._update_subtree(uid)
 
     def _update_subtree(self, uid: int) -> None:
@@ -430,7 +466,18 @@ class _Builder:
     # -- construction -----------------------------------------------------
 
     def build(self) -> None:
+        """Build the tree with byte nodes or, if it meets more than 256
+        slot contents, again from the root with tuple nodes.  The build
+        is deterministic, so the node type changes nothing else."""
+        try:
+            self._build()
+        except _WideNodes:
+            self._build()  # the context makes tuple nodes from now on
+
+    def _build(self) -> None:
         """Expand level by level until convergence or until ``_done``."""
+        self.nodes: list[_Node] = []
+        self.index: dict[bytes | tuple[int, ...], int] = {}
         self._new_node(self.ctx.root(), {0}, {(0, 0)}, created_level=0)
         frontier = [0]
         i = 1
@@ -494,6 +541,10 @@ class _FixedSizeBuilder(_Builder):
     def _done(self, level: int) -> bool:
         return level > self.n - self.ctx.m + 1
 
+    def _build(self) -> None:
+        super()._build()
+        self.final_checks()
+
     def final_checks(self) -> None:
         """Walk the last m - 2 levels below level n - m + 1.
 
@@ -528,7 +579,6 @@ def check_reversible(rule: Rule, n: int) -> ReversibilityCheck:
     builder = _FixedSizeBuilder(rule, n)
     try:
         builder.build()
-        builder.final_checks()
     except _IrreversibleFound:
         return ReversibilityCheck(
             n, False, builder.unique_nodes, builder.last_unique_level)
@@ -626,9 +676,9 @@ class _ClassifyBuilder(_Builder):
     sizes the tail already covers.
     """
 
-    def __init__(self, rule: Rule):
-        super().__init__(rule)
+    def _build(self) -> None:
         self.evidence: set[tuple[int, int]] = set()
+        super()._build()
 
     def _found(self, sizes) -> None:
         self.evidence.update(sizes)

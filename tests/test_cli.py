@@ -95,6 +95,20 @@ class TestCheck:
             run(["check", "--bogus-flag"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("sources", [
+        ("--rule", "00011110", "--perm", "8572036419"),
+        ("--rule", "00011110", "--rule-file", "rule.txt"),
+        ("--perm", "8572036419", "--rule-file", "rule.txt"),
+    ])
+    def test_one_rule_source(self, capsys, sources):
+        # two rule sources are a usage error, not a silent choice of one
+        with pytest.raises(SystemExit) as exc:
+            run(["check", "--d", "2", "--m", "3", *sources, "--size", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "not allowed with argument" in err
+        assert err.splitlines()[0].startswith("usage:")
+
 
 class TestInfo:
     def test_flow_and_quiescent(self, capsys):

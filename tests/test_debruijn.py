@@ -80,6 +80,27 @@ class TestNextConfiguration:
         with pytest.raises(ValueError, match="at least one cell"):
             next_configuration(eca(90), config)
 
+    def test_keeps_the_last_rules_stepper(self, monkeypatch):
+        built = []
+        ca_stepper = debruijn.stepper
+
+        def counted_stepper(rule):
+            built.append(rule)
+            return ca_stepper(rule)
+
+        monkeypatch.setattr(debruijn, "stepper", counted_stepper)
+        monkeypatch.setattr(debruijn, "_last_step", None)
+        rule = rule_from_permutation("8135940672")
+        expected = ca_stepper(rule)((0, 1, 2, 3, 4))
+        assert next_configuration(rule, "01234") == expected
+        assert next_configuration(rule, (0, 1, 2, 3, 4)) == expected
+        assert built == [rule]
+        # one entry: another rule replaces it, and an equal rule hits it
+        assert next_configuration(eca(90), "00100") == (0, 1, 0, 1, 0)
+        assert next_configuration(eca(90), "00100") == (0, 1, 0, 1, 0)
+        assert next_configuration(rule_from_permutation("8135940672"), "01234") == expected
+        assert built == [rule, eca(90), rule]
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_all_windows_formula(self, data):

@@ -9,7 +9,8 @@ from ringca.rules import Rule, eca, is_balanced, parse_rule
 from ringca.synthesis import (StrategySpec, generate_strategy,
                               rule_from_permutation)
 from ringca.tree import (Classification, IrrevExpression, ReversibilityCheck,
-                         _Context, _FixedSizeBuilder, check_reversible,
+                         _ClassifyBuilder, _Context, _FixedSizeBuilder,
+                         _IrreversibleFound, _WideNodes, check_reversible,
                          child_node, classify, merge_expressions,
                          restrict_last_levels, reversible_sizes, root_node)
 
@@ -129,7 +130,36 @@ def unpack_groups(total, d, groups, width):
 
 
 class TestSlotTables:
-    """Memoized per-slot node operations against literal references."""
+    """Memoized per-slot node operations against literal references, on
+    byte nodes and on tuple nodes."""
+
+    @staticmethod
+    def node_types(ctx, masks):
+        """The node of these slot contents as the context makes it, bytes
+        while its ids fit a byte, and as a tuple."""
+        ids = list(map(ctx.intern, masks))
+        return ([bytes(ids)] if ctx.tables is not None else []) + [tuple(ids)]
+
+    @classmethod
+    def check_node(cls, rule, ctx, masks, children, groups):
+        """Children, tables and judge of one node in every type the
+        context can make; a byte node whose children need an id past 255
+        raises ``_WideNodes`` once the byte tables are gone."""
+        checked = set()
+        for gamma in cls.node_types(ctx, masks):
+            try:
+                kids = ctx.children(gamma)
+            except _WideNodes:
+                assert type(gamma) is bytes and ctx.tables is None
+                assert len(ctx.masks) > 256
+                continue
+            assert all(type(kid) is type(gamma) for kid in kids)
+            for b in range(rule.d):
+                assert [ctx.masks[s] for s in kids[b]] == children[b]
+            cls.check_tables(rule, ctx, gamma, children)
+            cls.check_judge(ctx, gamma, groups)
+            checked.add(type(gamma))
+        assert tuple in checked
 
     @staticmethod
     def random_nodes(rule, rng):
@@ -159,7 +189,9 @@ class TestSlotTables:
         # the shared context sees every node below; a stale or mixed-up
         # memo entry shows as a difference from a fresh context's answer
         shared = _Context(rule)
-        nodes = [[shared.masks[s] for s in shared.root()]]
+        root = shared.root()
+        assert type(root) is bytes
+        nodes = [[shared.masks[s] for s in root]]
         nodes += self.random_nodes(rule, rng)
         nodes += [reference_child(rule, nodes[1 + i % 3], i % d) for i in range(3)]
         for masks in nodes:
@@ -171,11 +203,7 @@ class TestSlotTables:
             groups = [reference_counts(rule, masks)]
             groups += [reference_counts(rule, g) for g in restricted]
             for ctx in (shared, _Context(rule)):
-                gamma = tuple(map(ctx.intern, masks))
-                for b in range(d):
-                    assert [ctx.masks[s] for s in ctx.children(gamma)[b]] == children[b]
-                self.check_tables(rule, ctx, gamma, children)
-                self.check_judge(ctx, gamma, groups)
+                self.check_node(rule, ctx, masks, children, groups)
 
     @given(st.data())
     @settings(max_examples=25, deadline=None)
@@ -195,12 +223,7 @@ class TestSlotTables:
             reference_counts(rule, reference_restrict(rule, masks, i))
             for i in range(1, m)]
         children = [reference_child(rule, masks, b) for b in range(d)]
-        ctx = _Context(rule)
-        gamma = tuple(map(ctx.intern, masks))
-        for b in range(d):
-            assert [ctx.masks[s] for s in ctx.children(gamma)[b]] == children[b]
-        self.check_tables(rule, ctx, gamma, children)
-        self.check_judge(ctx, gamma, groups)
+        self.check_node(rule, _Context(rule), masks, children, groups)
 
     @staticmethod
     def check_tables(rule, ctx, gamma, children):
@@ -231,11 +254,12 @@ class TestSlotTables:
         content (group 0) and of each last level (group iota), with no
         carry between fields or groups, and its verdict follows them."""
         d, m = ctx.d, ctx.m
+        verdict = ctx.verdict(gamma)  # fills the node's judge entries
         total = sum(map(getitem, ctx.judge, gamma))
         assert total >> (m * d * ctx.width) == 0
         assert unpack_groups(total, d, m, ctx.width) == groups
         bad = {i for i in range(1, m) if not reference_ok(groups[i], d ** i)}
-        assert ctx.verdict(gamma) == (reference_ok(groups[0], d ** m), bad)
+        assert verdict == (reference_ok(groups[0], d ** m), bad)
 
     @pytest.mark.parametrize("rule", [
         Rule(4, 4, tuple(r % 4 for r in range(4 ** 4))),
@@ -250,7 +274,8 @@ class TestSlotTables:
             reference_counts(rule, reference_restrict(rule, masks, i))
             for i in range(1, m)]
         ctx = _Context(rule)
-        self.check_judge(ctx, tuple(map(ctx.intern, masks)), groups)
+        for gamma in self.node_types(ctx, masks):
+            self.check_judge(ctx, gamma, groups)
 
 
 class TestCheckReversible:
@@ -372,9 +397,9 @@ class TestCheckReversible:
             return intern(mask)
 
         ctx.intern = counting_intern
-        builder.build()
-        builder.final_checks()
+        builder.build()  # the tree and the walk below its last level
         assert (builder.unique_nodes, builder.last_unique_level) == (6000, 61)
+        assert all(type(nd.gamma) is bytes for nd in builder.nodes)
         expanded = len(ctx.child_slot[0])
         assert all(len(table) == expanded for table in ctx.child_slot)
         # the root's slots, then d children per expanded content
@@ -383,8 +408,8 @@ class TestCheckReversible:
         roots = {fresh.masks[s] for s in fresh.root()}
         children = {ctx.masks[c] for table in ctx.child_slot for c in table}
         assert set(ctx.masks) == roots | children
-        assert (len(ctx.masks), expanded, sum(map(len, ctx.judge))) == (
-            100, 100, 10_000)
+        filled = sum(entry is not None for table in ctx.judge for entry in table)
+        assert (len(ctx.masks), expanded, filled) == (100, 100, 10_000)
 
     @pytest.mark.parametrize("text,m,n", [
         ("1001010101100101", 4, 5),
@@ -412,6 +437,106 @@ class TestCheckReversible:
                 brute = brute_force_reversible(rule, n)
                 assert check_reversible(rule, n).reversible == brute, (rule.string, n)
                 assert (not report.irreversible_at(n)) == brute, (rule.string, n)
+
+
+def balanced_ten_state_rule(seed):
+    """A seeded random balanced 10-state rule whose homogeneous RMTs map
+    bijectively, so that it is not strictly irreversible."""
+    rng = random.Random(seed)
+    homogeneous = list(range(10))
+    rng.shuffle(homogeneous)
+    rest = [v for v in range(10) for _ in range(99)]
+    rng.shuffle(rest)
+    fill = iter(rest)
+    return Rule(10, 3, tuple(homogeneous[r // 111] if r % 111 == 0 else next(fill)
+                             for r in range(1000)))
+
+
+def swapped_permutation_rule(perm, swaps, seed):
+    """A permutation-form rule with ``swaps`` seeded pairs of differently
+    labelled, non-homogeneous RMTs exchanged: still balanced, with more
+    slot contents than the permutation rule and a tree several levels
+    deep."""
+    rng = random.Random(seed)
+    table = list(rule_from_permutation(perm).table)
+    for _ in range(swaps):
+        while True:
+            a, b = rng.sample(range(1000), 2)
+            if table[a] != table[b] and a % 111 and b % 111:
+                break
+        table[a], table[b] = table[b], table[a]
+    return Rule(10, 3, tuple(table))
+
+
+class TestManyContents:
+    """Trees that meet more than 256 slot contents, built with tuple nodes.
+
+    The pins were taken from the code before nodes became ``bytes``, when
+    every node was a tuple.  The random rule meets its 257th content among
+    the root's children.  The swapped rules meet it two levels down, after
+    byte nodes have been judged; the check at n = 11 of the second one
+    ends before it, with byte nodes, and its classify restarts after
+    evidence has been reported, which the restart must forget.
+    """
+
+    TRIVIAL_SEMI = {"classification": "trivially-semi-reversible",
+                    "expressions": [], "exceptional_sizes": []}
+    CASES = [
+        # rule, (reversible, M, last level) at n = 11 and 21, classify
+        # report, whether the check at n = 11 meets the 257th content
+        (balanced_ten_state_rule(0), (False, 1, 0),
+         dict(TRIVIAL_SEMI, irreversible_from=2, unique_nodes=11,
+              last_unique_level=1), True),
+        (swapped_permutation_rule("8572036419", 2, 21), (False, 483, 3),
+         dict(TRIVIAL_SEMI, irreversible_from=3, unique_nodes=868,
+              last_unique_level=3), True),
+        (swapped_permutation_rule("8572036419", 2, 0), (False, 462, 3),
+         dict(TRIVIAL_SEMI, irreversible_from=3, unique_nodes=868,
+              last_unique_level=3), False),
+    ]
+    IDS = ["random", "swapped21", "swapped0"]
+
+    @pytest.mark.parametrize("rule,pinned,report,wide_check", CASES, ids=IDS)
+    def test_pinned_past_256_contents(self, rule, pinned, report, wide_check):
+        for n in (11, 21):
+            result = check_reversible(rule, n)
+            assert (result.reversible, result.unique_nodes,
+                    result.last_unique_level) == pinned, n
+        assert classify(rule).to_dict() == report
+
+    @pytest.mark.parametrize("rule,pinned,report,wide_check", CASES, ids=IDS)
+    def test_tuple_route_taken(self, rule, pinned, report, wide_check):
+        check = _FixedSizeBuilder(rule, 11)
+        with pytest.raises(_IrreversibleFound):
+            check.build()
+        built = _ClassifyBuilder(rule)
+        built.build()
+        for builder, count, wide in ((check, pinned[1], wide_check),
+                                     (built, report["unique_nodes"], True)):
+            ctx = builder.ctx
+            assert (ctx.tables is None) == wide == (len(ctx.masks) > 256)
+            assert builder.unique_nodes == count
+            node_type = tuple if wide else bytes
+            assert all(type(nd.gamma) is node_type for nd in builder.nodes)
+            assert all(type(gamma) is node_type for gamma in builder.index)
+        # a fresh context starts with byte nodes, whose children past the
+        # 256th content cannot be written
+        ctx = _Context(rule)
+        level = {ctx.root()}
+        assert type(next(iter(level))) is bytes
+        with pytest.raises(_WideNodes):
+            for _ in range(4):
+                level = {kid for gamma in level for kid in ctx.children(gamma)}
+        assert ctx.tables is None and type(ctx.root()) is tuple
+
+    def test_byte_tables_end_at_the_257th_content(self):
+        ctx = _Context(Rule(3, 2, (0, 1, 2) * 3))
+        assert ctx.root() == bytes([0, 1, 2])
+        others = iter(mask for mask in range(512) if mask not in ctx.ids)
+        assert [ctx.intern(next(others)) for _ in range(253)] == list(range(3, 256))
+        assert ctx.tables is not None and ctx.root() == bytes([0, 1, 2])
+        ctx.intern(next(others))
+        assert ctx.tables is None and ctx.root() == (0, 1, 2)
 
 
 class TestClassify:
