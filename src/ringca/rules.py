@@ -157,22 +157,17 @@ def is_balanced(rule: Rule) -> bool:
 
 
 def is_linear(rule: Rule) -> bool:
-    """True iff the rule is additive under digit-wise mod-d RMT addition."""
-    d, n = rule.d, rule.num_rmts
+    """True iff the rule is additive under digit-wise mod-d RMT addition.
 
-    def add(a: int, b: int) -> int:
-        out, mult = 0, 1
-        for _ in range(rule.m):
-            out += ((a + b) % d) * mult
-            a //= d
-            b //= d
-            mult *= d
-        return out
-
+    An additive map of Z_d^m is fixed by its images of the unit RMTs d^k,
+    so the rule is additive iff each RMT maps to the sum of its digits
+    weighted by those images.
+    """
+    d, table = rule.d, rule.table
+    units = [table[d ** k] for k in range(rule.m)]
     return all(
-        rule.table[add(a, b)] == (rule.table[a] + rule.table[b]) % d
-        for a in range(n)
-        for b in range(n)
+        v == sum(r // d ** k % d * u for k, u in enumerate(units)) % d
+        for r, v in enumerate(table)
     )
 
 

@@ -293,6 +293,9 @@ class _DeadEnd(Exception):
     """A forced assignment closed a short bad cycle; retry the attempt."""
 
 
+_DIGITS = frozenset(range(10))  # the states of a decimal rule
+
+
 class _DecimalAssembler:
     """One synthesis attempt: value assignment over the staged sets.
 
@@ -307,10 +310,10 @@ class _DecimalAssembler:
     - ``ahead[v][w]``: the length of the v-valued RMT walk leaving w,
       capped at 2 * max_run;
     - ``behind[v][w]``: the length of the longest v-valued RMT walk
-      ending at w, capped the same way;
-    - ``equi_free[w]`` and ``equi_vals[w]``: the number of unassigned
-      RMTs of equivalent set w (the RMTs entering window w) and the
-      values of its assigned ones.
+      ending at w, capped the same way.
+
+    Sibling set t is ``table[10t:10t+10]`` and equivalent set w (the
+    RMTs entering window w) is ``table[w::100]``; unassigned RMTs read -1.
 
     One ``succ`` entry per (v, w) suffices because sibling sets stay
     injective throughout assembly (a value is only allowed if its sibling
@@ -332,13 +335,10 @@ class _DecimalAssembler:
         self.rng = rng
         self.max_run = max_run
         self.table = [-1] * 1000
-        self.sibl_used = [set() for _ in range(100)]
         self.succ = [[-1] * 100 for _ in range(10)]
         self.pred = [[0] * 100 for _ in range(10)]
         self.ahead = [[0] * 100 for _ in range(10)]
         self.behind = [[0] * 100 for _ in range(10)]
-        self.equi_free = [10] * 100
-        self.equi_vals = [set() for _ in range(100)]
 
     def assemble(self, stages: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
         """Random singletons, then the later stages set by set; raises
@@ -353,9 +353,6 @@ class _DecimalAssembler:
     def _set(self, r: int, v: int) -> None:
         t, h = r // 10, r % 100
         self.table[r] = v
-        self.sibl_used[t].add(v)
-        self.equi_free[h] -= 1
-        self.equi_vals[h].add(v)
         succ, pred = self.succ[v], self.pred[v]
         succ[t] = h
         pred[h] |= 1 << t
@@ -410,11 +407,13 @@ class _DecimalAssembler:
         return False
 
     def assign_cycle(self, cycle: tuple[int, ...]) -> None:
-        todo = [r for r in cycle if self.table[r] == -1]
+        table = self.table
+        todo = [r for r in cycle if table[r] == -1]
         # fill the tightest sibling sets first; their slots are forced anyway
-        todo.sort(key=lambda r: len(self.sibl_used[r // 10]), reverse=True)
+        if len(todo) > 1:
+            todo.sort(key=lambda r: table[r - r % 10:r - r % 10 + 10].count(-1))
         for r in todo:
-            allowed = [v for v in range(10) if v not in self.sibl_used[r // 10]]
+            allowed = sorted(_DIGITS.difference(table[r - r % 10:r - r % 10 + 10]))
             allowed = self._prune(cycle, r, allowed)
             runs = {v: self._run_through(r, v) for v in allowed
                     if not self._closes_bad_cycle(r, v)}
@@ -441,9 +440,9 @@ class _DecimalAssembler:
             if all(self.table[x] == (x // 10) % 10 for x in others):
                 pruned = [v for v in pruned if v != middle]
         # avoid completing an equivalent set with one repeated value
-        w = r % 100
-        if self.equi_free[w] == 1 and len(self.equi_vals[w]) == 1:
-            pruned = [v for v in pruned if v not in self.equi_vals[w]]
+        equi = self.table[r % 100::100]
+        if equi.count(-1) == 1 and len(set(equi)) == 2:
+            pruned = [v for v in pruned if v not in equi]
         return pruned if pruned else allowed
 
 

@@ -409,10 +409,6 @@ class _Builder:
                 self._claims_grew(nd, ((i, 0),))
                 self._update_subtree(uid)
             return
-        if len(nd.levels) == 1:
-            nd.levels.add(i)
-            self._changed(uid)
-            return
         if q + 1 in nd.levels:
             return  # a self-loop already holds every level from q on
         new_loop = i - q
@@ -684,16 +680,23 @@ class _ClassifyBuilder(_Builder):
         self.evidence.update(sizes)
 
     def tail_bound(self) -> int | None:
-        """Least B with {n >= B} covered by the evidence, if one exists."""
+        """Least B with {n >= B} covered by the evidence, if one exists.
+
+        Every tail and progression starts at or below ``top``, the largest
+        start among them, so from ``top`` on whether they cover n depends
+        only on n modulo the lcm of their periods: they cover a tail iff
+        they cover the one window [top, top + lcm).  B is then one past the
+        last smaller size that the evidence misses.
+        """
         spans = [(s, p) for s, p in self.evidence if p]  # tails, progressions
-        lam = math.lcm(*(p for _, p in spans))
-        if not spans or not all(any((r - s) % p == 0 for s, p in spans)
-                                for r in range(lam)):
+        if not spans:
             return None
-        horizon = max(s for s, _ in spans) + 2 * lam
-        uncovered = [n for n in range(1, horizon + 1)
-                     if not _covers(self.evidence, n)]
-        return (max(uncovered) + 1) if uncovered else 1
+        top = max(s for s, _ in spans)
+        lam = math.lcm(*(p for _, p in spans))
+        if not all(_covers(spans, n) for n in range(top, top + lam)):
+            return None
+        return 1 + max((n for n in range(1, top) if not _covers(self.evidence, n)),
+                       default=0)
 
     def _done(self, level: int) -> bool:
         bound = self.tail_bound()

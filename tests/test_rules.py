@@ -71,7 +71,39 @@ class TestBalanced:
         assert is_balanced(eca(90))
 
 
+def reference_is_linear(rule):
+    """Additivity by definition: R(a + b) = R(a) + R(b) for every pair
+    of RMTs, added digit by digit mod d."""
+    d, m = rule.d, rule.m
+
+    def add(a, b):
+        out, mult = 0, 1
+        for _ in range(m):
+            out += (a + b) % d * mult
+            a, b, mult = a // d, b // d, mult * d
+        return out
+
+    return all(rule.table[add(a, b)] == (rule.table[a] + rule.table[b]) % d
+               for a in range(rule.num_rmts) for b in range(rule.num_rmts))
+
+
 class TestLinear:
+    def test_ecas_against_reference(self):
+        linear = [n for n in range(256) if is_linear(eca(n))]
+        assert linear == [n for n in range(256) if reference_is_linear(eca(n))]
+        assert linear == [0, 60, 90, 102, 150, 170, 204, 240]
+
+    @given(st.integers(2, 5), st.integers(2, 3), st.data())
+    def test_against_reference(self, d, m, data):
+        # a linear table from random unit images, then maybe one entry off
+        units = data.draw(st.lists(st.integers(0, d - 1), min_size=m, max_size=m))
+        table = [sum(r // d ** k % d * u for k, u in enumerate(units)) % d
+                 for r in range(d ** m)]
+        r = data.draw(st.integers(0, d ** m - 1))
+        table[r] = (table[r] + data.draw(st.integers(0, d - 1))) % d
+        rule = Rule(d, m, tuple(table))
+        assert is_linear(rule) == reference_is_linear(rule)
+
     def test_eca_90_linear(self):
         # oracle: R(x,y,z) = x + z mod 2, checked digit-wise over all pairs
         rule = eca(90)

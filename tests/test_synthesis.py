@@ -325,6 +325,11 @@ def _reference_closes_bad_cycle(table, r, v):
     return False
 
 
+def _free_values(table, r):
+    """The values that r's sibling set does not hold yet."""
+    return sorted(set(range(10)) - set(table[r // 10 * 10:r // 10 * 10 + 10]))
+
+
 class TestAssemblerScans:
     @given(st.integers(0, 2 ** 32), st.floats(0.2, 0.98), st.integers(1, 4))
     @settings(max_examples=100, deadline=None)
@@ -341,7 +346,7 @@ class TestAssemblerScans:
                     asm._set(10 * j + t, v)
         unassigned = [r for r in range(1000) if asm.table[r] == -1]
         for r in rnd.sample(unassigned, min(25, len(unassigned))):
-            for v in sorted(set(range(10)) - asm.sibl_used[r // 10]):
+            for v in _free_values(asm.table, r):
                 assert asm._run_through(r, v) == \
                     _reference_run_through(asm.table, max_run, r, v), (r, v)
                 assert asm._closes_bad_cycle(r, v) == \
@@ -365,7 +370,7 @@ class TestAssemblerScans:
             asm._set(r, v)
         for r in range(1000):
             if asm.table[r] == -1:
-                for v in sorted(set(range(10)) - asm.sibl_used[r // 10]):
+                for v in _free_values(asm.table, r):
                     assert asm._run_through(r, v) == \
                         _reference_run_through(asm.table, max_run, r, v), (r, v)
 
@@ -404,7 +409,7 @@ class TestAssemblerScans:
                 asm._set(x, value)
         assert _reference_closes_bad_cycle(table, r, v)
         assert asm._closes_bad_cycle(r, v)
-        for w in sorted(set(range(10)) - asm.sibl_used[r // 10]):
+        for w in _free_values(asm.table, r):
             assert asm._closes_bad_cycle(r, w) == \
                 _reference_closes_bad_cycle(table, r, w), w
 
@@ -445,19 +450,11 @@ def _rebuilt_runs(table, max_run):
     return ahead, behind
 
 
-def _rebuilt_equivalent_sets(table):
-    """Unassigned-member counts and assigned-value sets of the 100
-    equivalent sets of a (partial) rule table."""
-    members = [[table[w + 100 * k] for k in range(10)] for w in range(100)]
-    return ([values.count(-1) for values in members],
-            [{v for v in values if v >= 0} for values in members])
-
-
 class TestAssemblerTables:
     def test_tables_match_rule_table(self):
         # every attempt of synthesize_decimal(6, seed=20260811), dead ends
         # included: the pointer chase needs injective sibling sets, and the
-        # scans and the prune need tables that follow `table`
+        # scans need tables that follow `table`
         rng, stages = Lcg(20260811), assignment_stages(10)
         dead_ends = finished = 0
         while finished < 6:
@@ -469,13 +466,10 @@ class TestAssemblerTables:
                 dead_ends += 1
             assert (asm.succ, asm.pred) == _rebuilt_adjacency(asm.table)
             assert (asm.ahead, asm.behind) == _rebuilt_runs(asm.table, 3)
-            assert (asm.equi_free, asm.equi_vals) == \
-                _rebuilt_equivalent_sets(asm.table)
             for j in range(100):
                 values = [asm.table[r] for r in range(10 * j, 10 * j + 10)
                           if asm.table[r] >= 0]
                 assert len(set(values)) == len(values)
-                assert asm.sibl_used[j] == set(values)
         assert dead_ends == 31
 
 

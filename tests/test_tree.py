@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from operator import getitem
 
@@ -622,6 +623,79 @@ class TestReversibleSizes:
             for n in range(rule.m, 13):
                 assert (n in good) == check_reversible(rule, n).reversible, \
                     (rule.string, n)
+
+
+def reference_tail_bound(evidence):
+    """Least B with every n >= B covered, by the residue test and a scan
+    up to the largest start plus twice the lcm of the periods."""
+    def covered(n):
+        return any(n == s or p and n > s and (n - s) % p == 0 for s, p in evidence)
+
+    spans = [(s, p) for s, p in evidence if p]
+    lam = math.lcm(*(p for _, p in spans))
+    if not spans or not all(any((r - s) % p == 0 for s, p in spans)
+                            for r in range(lam)):
+        return None
+    horizon = max(s for s, _ in spans) + 2 * lam
+    uncovered = [n for n in range(1, horizon + 1) if not covered(n)]
+    return max(uncovered) + 1 if uncovered else 1
+
+
+class TestTailBound:
+    @given(st.sets(st.tuples(st.integers(0, 30), st.integers(0, 6)), max_size=10))
+    @settings(max_examples=500)
+    def test_against_reference(self, evidence):
+        builder = _ClassifyBuilder(eca(75))
+        builder.evidence = evidence
+        assert builder.tail_bound() == reference_tail_bound(evidence)
+
+    def test_examples(self):
+        builder = _ClassifyBuilder(eca(75))
+        for evidence, bound in [({(3, 2), (6, 2), (1, 0)}, 5),
+                                ({(2, 2), (5, 4)}, None),
+                                ({(0, 0), (1, 1)}, 1), (set(), None)]:
+            builder.evidence = evidence
+            assert builder.tail_bound() == bound, evidence
+
+    def test_classify_evidence(self):
+        # the evidence that real trees leave behind
+        rng = random.Random(3)
+        rules = [eca(number) for number in range(256)]
+        for _ in range(40):
+            table = [v for v in range(3) for _ in range(9)]
+            rng.shuffle(table)
+            rules.append(Rule(3, 3, tuple(table)))
+        bounded = 0
+        for rule in rules:
+            if not is_balanced(rule):
+                continue
+            builder = _ClassifyBuilder(rule)
+            builder.build()
+            bound = builder.tail_bound()
+            assert bound == reference_tail_bound(builder.evidence), rule.string
+            bounded += bound is not None
+        assert bounded > 20
+
+
+# Reversible at n = 11 by a brute-force enumeration of the 3^11 rings and by
+# the pair-graph test, yet the tree calls both irreversible there: the tail
+# (8, 1) that decides it comes from a self-loop claim.
+WRONG_AT_11 = ["210210210012210210120210120", "210222220002000002121111111"]
+
+
+class TestWrongVerdictsAt11:
+    @pytest.mark.parametrize("text", WRONG_AT_11)
+    def test_oracles_agree(self, text):
+        rule = parse_rule(text, 3, 3)
+        assert brute_force_reversible(rule, 11)
+        assert pair_graph_bijective(rule, 11)
+
+    @pytest.mark.xfail(strict=True, reason="tree says irreversible at n = 11")
+    @pytest.mark.parametrize("text", WRONG_AT_11)
+    def test_tree_verdicts(self, text):
+        rule = parse_rule(text, 3, 3)
+        assert (check_reversible(rule, 11).reversible,
+                classify(rule).irreversible_at(11)) == (True, False)
 
 
 class TestMergeExpressions:
