@@ -316,8 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.verb == "synthesize" and args.stats and args.strategy != "decimal":
-        parser.error("--stats needs --strategy decimal")
+    if args.verb == "synthesize":
+        if args.stats and args.strategy != "decimal":
+            parser.error("--stats needs --strategy decimal")
+        if args.strict and not args.filter:
+            parser.error("--strict needs --filter")
+        if args.filter and args.strategy == "decimal":
+            parser.error("--filter needs --strategy I, II or III")
     try:
         return args.func(args)
     except BrokenPipeError:

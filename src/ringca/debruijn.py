@@ -223,17 +223,34 @@ class DeBruijnGraph:
         never enters a smaller node (the canonical start of Johnson 1975).
         RMTs order like their tail nodes, so that walk already lists the
         cycle in canonical rotation; and no two RMTs share both ends, so
-        node cycles and RMT cycles correspond one to one.  The search keeps
-        an explicit stack, so unbounded searches on large graphs do not
-        depend on the recursion limit.  A search that finds more than
-        ``_MAX_CYCLES`` cycles raises ``ValueError``.
+        node cycles and RMT cycles correspond one to one.
+
+        Before the search, nodes that no edge of the subgraph enters are
+        dropped with the edges that leave them, repeatedly, since none of
+        them lies on a cycle; nodes that no edge leaves are never entered.
+        On a functional graph (one outgoing edge per node, as in the
+        per-value subgraphs of a rule whose sibling sets are permutations)
+        only the cycle nodes remain.  The search keeps an explicit stack,
+        so unbounded searches on large graphs do not depend on the
+        recursion limit.  A search that finds more than ``_MAX_CYCLES``
+        cycles raises ``ValueError``.
         """
         if max_len is not None and max_len < 1:
             raise ValueError(f"cycle length bound must be at least 1, got {max_len}")
+        d, num_nodes = self.d, self.num_nodes
         succ: dict[int, list[tuple[int, int]]] = {}
+        entering: dict[int, int] = {}
         for r in rmts:
-            tail, head = self.edge_ends(r)
-            succ.setdefault(tail, []).append((head, r))
+            head = r % num_nodes
+            succ.setdefault(r // d, []).append((head, r))
+            entering[head] = entering.get(head, 0) + 1
+        # drop the nodes no edge enters, until every node left has one
+        sources = [w for w in succ if w not in entering]
+        while sources:
+            for head, _ in succ.pop(sources.pop()):
+                entering[head] -= 1
+                if not entering[head] and head in succ:
+                    sources.append(head)
         out = []
         for start in sorted(succ):
             path, on_path = [], {start}  # RMTs walked, nodes on the walk
@@ -315,10 +332,12 @@ def trivial_reachability(rule: Rule, max_len: int | None = None) -> Reachability
     """Find predecessors of every trivial configuration s^n: the cycles,
     up to ``max_len`` RMTs long, of each per-value subgraph R[r] = s."""
     graph = DeBruijnGraph(rule.d, rule.m)
+    by_value: list[list[int]] = [[] for _ in range(rule.d)]
+    for r, v in enumerate(rule.table):
+        by_value[v].append(r)
     witnesses = []
-    for s in range(rule.d):
+    for s, edges in enumerate(by_value):
         own_loop = rule.homogeneous_rmt(s)
-        edges = [r for r in range(rule.num_rmts) if rule.table[r] == s]
         for cycle in graph.cycles(edges, max_len=max_len):
             if cycle == (own_loop,):
                 continue

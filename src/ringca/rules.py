@@ -173,7 +173,8 @@ def is_linear(rule: Rule) -> bool:
 
 def self_replicating_rmts(rule: Rule) -> set[int]:
     """RMTs whose next state equals the state of the cell being updated."""
-    return {r for r in range(rule.num_rmts) if rule.table[r] == rule.middle_digit(r)}
+    d, shift = rule.d, rule.d ** rule.rr
+    return {r for r, v in enumerate(rule.table) if v == r // shift % d}
 
 
 @dataclass(frozen=True)
@@ -201,14 +202,14 @@ class FlowReport:
 
 def information_flow(rule: Rule) -> FlowReport:
     """Score how strongly state changes propagate in each direction."""
+    d, sets = rule.d, rule.num_sets
     selfrep = self_replicating_rmts(rule)
-
-    def score(members: tuple[int, ...]) -> int:
-        values = {rule.table[r] for r in members if r not in selfrep}
-        return len(values)
-
-    left = sum(score(rule.sibling_set(j)) for j in range(rule.num_sets))
-    right = sum(score(rule.equivalent_set(i)) for i in range(rule.num_sets))
+    moved = [(r, v) for r, v in enumerate(rule.table) if r not in selfrep]
+    # a set's score is the number of distinct (set, value) pairs among
+    # its members in ``moved``: RMT r lies in sibling set r // d and in
+    # equivalent set r % sets, and (set, value) is keyed as set * d + value
+    left = len({r - r % d + v for r, v in moved})
+    right = len({r % sets * d + v for r, v in moved})
     return FlowReport(left_changes=left, right_changes=right, total_rmts=rule.num_rmts)
 
 

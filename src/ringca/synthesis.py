@@ -27,6 +27,13 @@ class Lcg:
 
     x <- (1664525 * x + 1013904223) mod 2^32 (Numerical Recipes constants);
     fixed here so synthesized rule lists are identical across platforms.
+
+    ``randbelow(n)`` joins as many 32-bit draws as give n.bit_length() + 16
+    bits, at least one word, and rejects values at or above the largest
+    multiple of n below 2^(32 words).  Bounds below 2^16 need one word;
+    for them ``randbelow`` and ``shuffle`` take the LCG step inline.  That
+    is the same algorithm, not an approximation: the same draws, the same
+    rejections and the same ``state`` after every call.
     """
 
     def __init__(self, seed: int):
@@ -39,6 +46,14 @@ class Lcg:
     def randbelow(self, n: int) -> int:
         if n <= 0:
             raise ValueError("randbelow needs a positive bound")
+        if n < 0x10000:
+            limit = 0x100000000 - 0x100000000 % n
+            state = self.state
+            while True:
+                state = (1664525 * state + 1013904223) & 0xFFFFFFFF
+                if state < limit:
+                    self.state = state
+                    return state % n
         bits = max(n.bit_length() + 16, 32)
         words = (bits + 31) // 32
         span = 1 << (32 * words)
@@ -51,9 +66,22 @@ class Lcg:
                 return value % n
 
     def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
+        i = len(items) - 1
+        while i >= 0xFFFF:  # bounds of 2^16 and more take several words
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
+            i -= 1
+        state = self.state
+        while i > 0:
+            n = i + 1
+            limit = 0x100000000 - 0x100000000 % n
+            state = (1664525 * state + 1013904223) & 0xFFFFFFFF
+            while state >= limit:
+                state = (1664525 * state + 1013904223) & 0xFFFFFFFF
+            j = state % n
+            items[i], items[j] = items[j], items[i]
+            i -= 1
+        self.state = state
 
     def choice(self, items):
         return items[self.randbelow(len(items))]
@@ -84,26 +112,32 @@ class StrategySpec:
                 f"d^m is larger for d={self.d}, m={self.m}")
         if self.kind == "III" and self.m != 3:
             raise ValueError("strategy III is defined for 3-neighborhood rules only")
+        if self.min_reverse_flow < 0:
+            # every rule scores at least 0: such a bound would pass them all
+            raise ValueError(
+                f"min_reverse_flow must be at least 0, got {self.min_reverse_flow}")
 
 
 def _strategy_i(rng: Lcg, d: int, m: int) -> Rule:
-    table = [0] * d ** m
-    num_sets = d ** (m - 1)
-    for i in range(num_sets):
+    sets = []
+    for _ in range(d ** (m - 1)):
         values = list(range(d))
         rng.shuffle(values)
-        for k in range(d):
-            table[i + k * num_sets] = values[k]
+        sets.append(values)
+    # equivalent set i is RMTs i, i + d^(m-1), ...: value k of every set
+    # fills the k-th block of d^(m-1) RMTs
+    table = []
+    for block in zip(*sets):
+        table += block
     return Rule(d, m, tuple(table))
 
 
 def _strategy_ii(rng: Lcg, d: int, m: int) -> Rule:
-    table = [0] * d ** m
-    for j in range(d ** (m - 1)):
+    table = []
+    for _ in range(d ** (m - 1)):
         values = list(range(d))
         rng.shuffle(values)
-        for t in range(d):
-            table[d * j + t] = values[t]
+        table += values
     return Rule(d, m, tuple(table))
 
 

@@ -206,6 +206,36 @@ class TestSynthesize:
         assert exc.value.code == 2
         assert "--stats needs --strategy decimal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--strategy", "I", "--count", "3", "--strict"), "--strict needs --filter"),
+        (("--strategy", "decimal", "--strict"), "--strict needs --filter"),
+        (("--strategy", "decimal", "--filter"), "--filter needs --strategy I, II or III"),
+        (("--strategy", "decimal", "--filter", "--strict"),
+         "--filter needs --strategy I, II or III")])
+    def test_ignored_filter_options_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run(["synthesize", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage:")
+        assert captured.err.splitlines()[-1] == f"ringca: error: {message}"
+
+    def test_negative_reverse_flow_rejected(self, capsys):
+        code, out, err = invoke(capsys, "synthesize", "--strategy", "II", "--filter",
+                                "--min-reverse-flow", "-3")
+        assert code == 1 and out == ""
+        assert err == "error: min_reverse_flow must be at least 0, got -3\n"
+
+    def test_filter_and_strict(self, capsys):
+        argv = ("synthesize", "--strategy", "II", "--count", "30", "--seed", "5")
+        code, everything, _ = invoke(capsys, *argv)
+        code, loose, _ = invoke(capsys, *argv, "--filter")
+        assert code == 0
+        code, strict, _ = invoke(capsys, *argv, "--filter", "--strict")
+        assert code == 0
+        assert set(strict.split()) <= set(loose.split()) < set(everything.split())
+
 
 class TestEvolveAndCycle:
     def test_evolve(self, capsys):

@@ -318,6 +318,80 @@ class TestCycleSearch:
         assert (DeBruijnGraph(d, m).cycles(rmts, max_len=max_len)
                 == brute_force_cycles(d, m, rmts, max_len))
 
+    @staticmethod
+    def attach_order(d, m, cycle, rng):
+        """Every node of B(m-1, d) once, the nodes of ``cycle`` first, each
+        later node with one RMT to an earlier one, preferring the latest:
+        a functional graph of long in-trees feeding the one cycle."""
+        num_nodes = d ** (m - 1)
+        order = [r // d for r in cycle]
+        edges = list(cycle)
+        pos = {w: i for i, w in enumerate(order)}
+        while len(order) < num_nodes:
+            w, r = max(((w, w * d + c) for w in range(num_nodes) if w not in pos
+                        for c in range(d) if (w * d + c) % num_nodes in pos),
+                       key=lambda e: (pos[e[1] % num_nodes], rng.random()))
+            pos[w] = len(order)
+            order.append(w)
+            edges.append(r)
+        return pos, edges
+
+    @pytest.mark.parametrize("d, m, cycle", [
+        (2, 7, (0,)), (2, 7, (42, 85)), (3, 4, (3, 9, 28)), (3, 4, (40,))])
+    def test_in_trees_feeding_one_cycle(self, d, m, cycle):
+        rng = random.Random(d * m)
+        graph = DeBruijnGraph(d, m)
+        pos, edges = self.attach_order(d, m, cycle, rng)
+        assert len(edges) == d ** (m - 1)
+        assert graph.cycles(edges) == [cycle]
+        # more edges from later nodes to earlier ones add no cycle
+        num_nodes = d ** (m - 1)
+        extra = [r for r in range(d ** m)
+                 if pos[r // d] > pos[r % num_nodes] and rng.random() < 0.3]
+        more = sorted(set(edges) | set(extra))
+        assert graph.cycles(more) == brute_force_cycles(d, m, more, None) == [cycle]
+        for max_len in (1, 2, 3):
+            assert graph.cycles(more, max_len=max_len) == (
+                [cycle] if len(cycle) <= max_len else [])
+
+    def test_long_chain_into_a_loop(self):
+        # the prefer-one Hamiltonian cycle of B(10, 2) less its first RMT,
+        # plus the loop at 0: 1023 nodes in one chain that ends in the loop
+        node, seen, rmts = 0, {0}, []
+        while len(seen) < 1024:
+            rmt = node * 2 + ((node * 2 + 1) % 1024 not in seen)
+            node = rmt % 1024
+            seen.add(node)
+            rmts.append(rmt)
+        rmts.append(node * 2)
+        assert DeBruijnGraph(2, 11).cycles(rmts[1:] + [0]) == [(0,)]
+
+    @pytest.mark.parametrize("d, m", [(2, 5), (3, 4), (2, 7)])
+    def test_dag(self, d, m):
+        num_nodes = d ** (m - 1)
+        rng = random.Random(m)
+        for _ in range(20):
+            rank = rng.sample(range(num_nodes), num_nodes)
+            rmts = [r for r in range(d ** m)
+                    if rank[r // d] > rank[r % num_nodes] and rng.random() < 0.8]
+            assert DeBruijnGraph(d, m).cycles(rmts) == [] == brute_force_cycles(
+                d, m, rmts, None)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mostly_acyclic_matches_brute_force(self, data):
+        # a DAG of edges down a random node order, plus a few edges of any
+        # direction that close cycles through some of its nodes
+        d, m = data.draw(st.sampled_from([(2, 5), (3, 4)]))
+        num_nodes = d ** (m - 1)
+        rank = data.draw(st.permutations(range(num_nodes)))
+        down = [r for r in range(d ** m) if rank[r // d] > rank[r % num_nodes]]
+        rmts = data.draw(st.sets(st.sampled_from(down)))
+        rmts |= data.draw(st.sets(st.integers(0, d ** m - 1), max_size=3))
+        max_len = data.draw(st.one_of(st.none(), st.integers(1, 6)))
+        assert (DeBruijnGraph(d, m).cycles(rmts, max_len=max_len)
+                == brute_force_cycles(d, m, rmts, max_len))
+
     def test_deep_unbounded_search(self):
         # one cycle through all 1024 nodes of B(10, 2), from the prefer-one
         # de Bruijn sequence (Martin 1934): deeper than the recursion limit

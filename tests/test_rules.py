@@ -1,9 +1,9 @@
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from ringca.rules import (Rule, RuleError, eca, equivalent_rules,
+from ringca.rules import (FlowReport, Rule, RuleError, eca, equivalent_rules,
                           information_flow, is_balanced, is_linear,
                           min_representative, parse_rule,
                           self_replicating_rmts, wolfram_number)
@@ -159,6 +159,36 @@ class TestInformationFlow:
             flow = information_flow(parse_rule(text, 3, 3))
             assert 0 <= flow.left_changes <= 27 - 9
             assert 0 <= flow.right_changes <= 27 - 9
+
+    # every radius: lr moves the middle digit, and with it which RMTs are
+    # self-replicating
+    @pytest.mark.parametrize("d, m, lr", [
+        (d, m, lr) for d, m in [(2, 3), (3, 3), (2, 4), (4, 2)] for lr in range(m)])
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_matches_per_set_reference(self, d, m, lr, data):
+        table = data.draw(st.lists(st.integers(0, d - 1), min_size=d ** m, max_size=d ** m))
+        rule = Rule(d, m, tuple(table), lr=lr)
+        assert self_replicating_rmts(rule) == reference_self_replicating_rmts(rule)
+        assert information_flow(rule) == reference_information_flow(rule)
+
+
+def reference_self_replicating_rmts(rule):
+    """The definition, RMT by RMT through ``middle_digit``."""
+    return {r for r in range(rule.num_rmts) if rule.table[r] == rule.middle_digit(r)}
+
+
+def reference_information_flow(rule):
+    """The scores set by set: distinct values of the non-self-replicating
+    members of each sibling set and of each equivalent set."""
+    selfrep = reference_self_replicating_rmts(rule)
+
+    def score(members):
+        return len({rule.table[r] for r in members if r not in selfrep})
+
+    left = sum(score(rule.sibling_set(j)) for j in range(rule.num_sets))
+    right = sum(score(rule.equivalent_set(i)) for i in range(rule.num_sets))
+    return FlowReport(left_changes=left, right_changes=right, total_rmts=rule.num_rmts)
 
 
 class TestEquivalence:

@@ -43,6 +43,69 @@ class TestLcg:
         rng.shuffle(items)
         assert sorted(items) == list(range(10))
 
+    @pytest.mark.parametrize("seed", [1, 99, 2 ** 32 - 1])
+    def test_randbelow_matches_reference(self, seed):
+        # every bound below the one-word edge, the edge itself, and
+        # multi-word bounds; return values and state, draw for draw
+        rng, ref = Lcg(seed), ReferenceLcg(seed)
+        for n in [*range(1, 301), 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1,
+                  2 ** 32, 2 ** 48 + 3] * 3:
+            assert rng.randbelow(n) == ref.randbelow(n)
+            assert rng.state == ref.state
+
+    @pytest.mark.parametrize("n", [3, 6, 2 ** 16 - 1])
+    def test_randbelow_rejections_match_reference(self, n):
+        # 2^32 mod n > 0 for these n, so the draw 2^32 - 1 is rejected; the
+        # seed steps to it, and the next draw must come from there
+        seed = (2 ** 32 - 1 - 1013904223) * pow(1664525, -1, 2 ** 32) % 2 ** 32
+        assert Lcg(seed).next_u32() == 2 ** 32 - 1
+        rng, ref = Lcg(seed), ReferenceLcg(seed)
+        assert rng.randbelow(n) == ref.randbelow(n)
+        assert rng.state == ref.state != 2 ** 32 - 1
+        items, expected = list(range(n)), list(range(n))
+        Lcg(seed).shuffle(items)
+        ReferenceLcg(seed).shuffle(expected)
+        assert items == expected
+
+    @pytest.mark.parametrize("seed", [5, 2026])
+    def test_shuffle_matches_reference(self, seed):
+        rng, ref = Lcg(seed), ReferenceLcg(seed)
+        for length in [*range(13), 65_537]:  # the last crosses 2^16 bounds
+            items, expected = list(range(length)), list(range(length))
+            rng.shuffle(items)
+            ref.shuffle(expected)
+            assert items == expected
+            assert rng.state == ref.state
+
+    def test_randbelow_rejects_bound_below_one(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="positive bound"):
+                Lcg(1).randbelow(n)
+
+
+class ReferenceLcg(Lcg):
+    """``randbelow`` and ``shuffle`` as first written: every bound through
+    the multi-word path, one ``next_u32`` call per word."""
+
+    def randbelow(self, n: int) -> int:
+        if n <= 0:
+            raise ValueError("randbelow needs a positive bound")
+        bits = max(n.bit_length() + 16, 32)
+        words = (bits + 31) // 32
+        span = 1 << (32 * words)
+        limit = span - span % n
+        while True:
+            value = 0
+            for _ in range(words):
+                value = (value << 32) | self.next_u32()
+            if value < limit:
+                return value % n
+
+    def shuffle(self, items: list) -> None:
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randbelow(i + 1)
+            items[i], items[j] = items[j], items[i]
+
 
 class TestStrategies:
     def test_strategy_i_predicate(self):
@@ -114,6 +177,26 @@ class TestStrategies:
             "370f5620fe851600ba5f4694e0f359590aa7d72069a8ee0e08ce7a5369e44c8a")
         assert digest(strategy_iii_rules(3)) == (
             "46d4424cdb382af6a92dff940af3a8a40b7d189a9811e6d3fdcc2584f4aac79a")
+
+    @pytest.mark.parametrize("kind, d, m, seed, expected", [
+        ("I", 3, 3, 5, "5ff6f899689e5dabe64b65c276fdf6b5a5a80c365b4938138062ccdc2f1fa105"),
+        ("I", 3, 3, 2026, "bbe459088c50515f4cce7f392834234f0505efca79817d0ebcc84122c4800d83"),
+        ("I", 2, 5, 5, "4d801bbe32bcd80180c45b2e825beb42e35d5f937390567dd7de4e890524c96a"),
+        ("I", 2, 5, 2026, "07262f23a635a674fb126443e57da0310649a243a1f23812c177030549d1cba8"),
+        ("I", 10, 3, 5, "7077b3c7a8cfbdeb8bd6d6e0ece9ebfc06068aefdee5830c90d5cabfdac273f4"),
+        ("I", 10, 3, 2026, "52d134908be45304133c584b47bb50946ba450c712f0514f4a30fbcb512583e6"),
+        ("II", 3, 3, 5, "3b357ed374767eac7136a6dae0a9cffc4dea4b1b8a5595f4b46312d2b705ca0a"),
+        ("II", 3, 3, 2026, "67b872f77c133768050b31f9a95e56b697fcf2c8f819a6d69c4b402dbfe7069d"),
+        ("II", 2, 5, 5, "b2dee2a8b16b0d3f1fa44aa759b31f8f5de4050233f790cbbc0756045d104db8"),
+        ("II", 2, 5, 2026, "041b8f3ef6a7503351c0e98a684d37337b7a4fdf686185d8092c79cf8acf1f85"),
+        ("II", 10, 3, 5, "de01b88b79c2dff59d0588c6c6579703c419b0983fb54782729793fd2ccd6610"),
+        ("II", 10, 3, 2026, "60658240cb1f3c3b445c452baba78a3e0af163faa133eebd979fbdce3dfff02f"),
+    ])
+    def test_strategy_i_ii_pinned_output(self, kind, d, m, seed, expected):
+        # 20 rules each, recorded before the generators built their tables
+        # by list extension and drew through the one-word LCG path
+        text = "\n".join(r.string for r in generate_strategy(StrategySpec(kind, d, m, seed=seed), 20))
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
 
     @pytest.mark.parametrize("kind, d, m, message", [
         ("I", 3, 0, "neighborhood size"), ("II", 3, -1, "neighborhood size"),
