@@ -155,9 +155,10 @@ def _cmd_synthesize(args) -> int:
         with stats:
             rules = synthesis.synthesize_decimal(args.count, seed=args.seed)
     else:
-        spec = synthesis.StrategySpec(
-            args.strategy, d=args.d, m=args.m, seed=args.seed,
-            min_reverse_flow=args.min_reverse_flow)
+        given = {name: getattr(args, name)
+                 for name in ("d", "m", "min_reverse_flow")
+                 if getattr(args, name) is not None}
+        spec = synthesis.StrategySpec(args.strategy, seed=args.seed, **given)
         rules = synthesis.generate_strategy(spec, args.count)
         if args.filter:
             rules = synthesis.filter_randomness_candidates(
@@ -257,15 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="generate candidate rules")
     p.add_argument("--strategy", choices=["I", "II", "III", "decimal"],
                    required=True)
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--m", type=int, default=3)
+    p.add_argument("--d", type=int,
+                   help="with --strategy I, II or III (default 3)")
+    p.add_argument("--m", type=int,
+                   help="with --strategy I or II (default 3)")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--filter", action="store_true",
                    help="apply the quiescent/fixed-point/flow filters")
     p.add_argument("--strict", action="store_true",
                    help="with --filter: require isolated trivial configurations")
-    p.add_argument("--min-reverse-flow", type=int, default=8)
+    p.add_argument("--min-reverse-flow", type=int,
+                   help="with --filter: least information flow in the "
+                        "weaker direction (default 8)")
     p.add_argument("--as-perm", action="store_true",
                    help="print the sibling-set-0 permutation instead")
     p.add_argument("--stats", action="store_true",
@@ -323,6 +328,11 @@ def run(argv=None) -> int:
             parser.error("--strict needs --filter")
         if args.filter and args.strategy == "decimal":
             parser.error("--filter needs --strategy I, II or III")
+        if args.min_reverse_flow is not None and not args.filter:
+            parser.error("--min-reverse-flow needs --filter")
+        for name in ("d", "m"):
+            if getattr(args, name) is not None and args.strategy == "decimal":
+                parser.error(f"--{name} needs --strategy I, II or III")
     try:
         return args.func(args)
     except BrokenPipeError:

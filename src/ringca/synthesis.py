@@ -227,7 +227,8 @@ def filter_randomness_candidates(
     map among themselves, so length-1 witnesses are always present and
     only cycles of length >= 2 disqualify.)
     """
-    min_flow = spec.min_reverse_flow if spec is not None else 8
+    min_flow = (spec.min_reverse_flow if spec is not None
+                else StrategySpec.min_reverse_flow)
     kept = []
     for rule in rules:
         if len(quiescent_states(rule)) != 1:
@@ -334,17 +335,13 @@ class _DecimalAssembler:
     """One synthesis attempt: value assignment over the staged sets.
 
     RMT r = abc is the de Bruijn edge from window ab = r // 10 to window
-    bc = r % 100.  :meth:`_set`, the one writer of ``table``, keeps these
+    bc = r % 100.  :meth:`_set`, the one writer of ``table``, keeps two
     tables current:
 
     - ``succ[v][w]``: the head window of the v-valued RMT leaving window
       w, or -1 if there is none;
-    - ``pred[v][w]``: a 100-bit mask of the tail windows of the v-valued
-      RMTs entering w;
-    - ``ahead[v][w]``: the length of the v-valued RMT walk leaving w,
-      capped at 2 * max_run;
     - ``behind[v][w]``: the length of the longest v-valued RMT walk
-      ending at w, capped the same way.
+      ending at w, capped at 2 * max_run.
 
     Sibling set t is ``table[10t:10t+10]`` and equivalent set w (the
     RMTs entering window w) is ``table[w::100]``; unassigned RMTs read -1.
@@ -353,16 +350,13 @@ class _DecimalAssembler:
     injective throughout assembly (a value is only allowed if its sibling
     set does not hold it yet): the RMTs leaving w form sibling set w, so
     at most one of them is v-valued, and at most one self-replicating.
-    A forward walk is therefore unique: ``ahead`` follows ``succ``.
-
-    Within one attempt RMTs are only ever added, so walks only get
-    longer and ``ahead`` and ``behind`` only grow.  A new v-valued edge
-    t -> h lengthens the walks that reach t, which lie on the
-    ``pred[v]`` layers behind t, and the walks that leave h, which
-    follow ``succ[v]``; each update stops where a value no longer grows,
-    since nothing behind (or ahead of) an unchanged value changes.
-    The scans only score RMTs that are still unassigned, which are in
-    no table, so a walk never passes through the RMT being scored.
+    A forward walk is therefore unique, and :meth:`_run_through` counts
+    it along ``succ``.  Walks ending at w are not unique, so ``behind``
+    is kept instead: within one attempt RMTs are only ever added, so
+    walks only get longer and ``behind`` only grows.  A new v-valued
+    edge t -> h lengthens the walks that leave h, which follow
+    ``succ[v]``; the update stops where a value no longer grows, since
+    nothing ahead of an unchanged value changes.
     """
 
     def __init__(self, rng: Lcg, max_run: int):
@@ -370,8 +364,6 @@ class _DecimalAssembler:
         self.max_run = max_run
         self.table = [-1] * 1000
         self.succ = [[-1] * 100 for _ in range(10)]
-        self.pred = [[0] * 100 for _ in range(10)]
-        self.ahead = [[0] * 100 for _ in range(10)]
         self.behind = [[0] * 100 for _ in range(10)]
 
     def assemble(self, stages: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
@@ -387,25 +379,10 @@ class _DecimalAssembler:
     def _set(self, r: int, v: int) -> None:
         t, h = r // 10, r % 100
         self.table[r] = v
-        succ, pred = self.succ[v], self.pred[v]
+        succ, behind = self.succ[v], self.behind[v]
         succ[t] = h
-        pred[h] |= 1 << t
         cap = 2 * self.max_run
-        # walks reaching t in k RMTs now go on through h
-        ahead = self.ahead[v]
-        layer, n = 1 << t, min(cap, ahead[h] + 1)
-        while layer:
-            nxt = 0
-            while layer:
-                low = layer & -layer
-                w = low.bit_length() - 1
-                if ahead[w] < n:
-                    ahead[w] = n
-                    nxt |= pred[w]
-                layer ^= low
-            layer, n = nxt, min(cap, n + 1)
         # walks leaving h may now start behind t
-        behind = self.behind[v]
         w, n = h, min(cap, behind[t] + 1)
         while w >= 0 and behind[w] < n:
             behind[w] = n
@@ -416,11 +393,17 @@ class _DecimalAssembler:
 
         The longest v-valued walk into r, r itself, and the walk out of
         r, each side capped at 2 * max_run; walks, not paths, because an
-        RMT may repeat (r itself never does: it is unassigned).  A
-        lookup: :meth:`_set` keeps both sides, ``behind`` at r's tail
-        window and ``ahead`` at its head window, current as they grow.
+        RMT may repeat (r itself never does: it is unassigned, so no
+        walk passes through it).  The side into r is ``behind`` at r's
+        tail window; the side out of r is counted along ``succ`` from
+        its head window, and the cap ends a walk that enters a cycle,
+        such as a v-valued self-loop.
         """
-        return self.behind[v][r // 10] + 1 + self.ahead[v][r % 100]
+        cap, succ = 2 * self.max_run, self.succ[v]
+        n, w = 0, succ[r % 100]
+        while w >= 0 and n < cap:
+            n, w = n + 1, succ[w]
+        return self.behind[v][r // 10] + 1 + n
 
     def _closes_bad_cycle(self, r: int, v: int) -> bool:
         """Would value v close a constant or self-replicating cycle of

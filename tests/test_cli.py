@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ringca
-from ringca import debruijn, prng
+from ringca import debruijn, prng, synthesis
 from ringca.cli import run
 from ringca.rules import Rule, parse_rule, self_replicating_rmts
 from ringca.tree import ReversibilityReport
@@ -211,7 +211,13 @@ class TestSynthesize:
         (("--strategy", "decimal", "--strict"), "--strict needs --filter"),
         (("--strategy", "decimal", "--filter"), "--filter needs --strategy I, II or III"),
         (("--strategy", "decimal", "--filter", "--strict"),
-         "--filter needs --strategy I, II or III")])
+         "--filter needs --strategy I, II or III"),
+        (("--strategy", "II", "--min-reverse-flow", "99", "--count", "2"),
+         "--min-reverse-flow needs --filter"),
+        (("--strategy", "decimal", "--d", "3", "--m", "5", "--min-reverse-flow", "99",
+          "--count", "1", "--as-perm"), "--min-reverse-flow needs --filter"),
+        (("--strategy", "decimal", "--d", "3"), "--d needs --strategy I, II or III"),
+        (("--strategy", "decimal", "--m", "3"), "--m needs --strategy I, II or III")])
     def test_ignored_filter_options_rejected(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             run(["synthesize", *argv])
@@ -226,6 +232,19 @@ class TestSynthesize:
                                 "--min-reverse-flow", "-3")
         assert code == 1 and out == ""
         assert err == "error: min_reverse_flow must be at least 0, got -3\n"
+
+    def test_absent_options_take_spec_defaults(self, capsys):
+        argv = ("synthesize", "--strategy", "II", "--count", "40", "--seed", "4",
+                "--filter")
+        code, default, _ = invoke(capsys, *argv)
+        assert code == 0 and len(default.split()) == 2
+        spec = synthesis.StrategySpec("II")
+        given = ("--d", str(spec.d), "--m", str(spec.m),
+                 "--min-reverse-flow", str(spec.min_reverse_flow))
+        assert invoke(capsys, *argv, *given) == (0, default, "")
+        # one of the two kept rules has a flow of exactly 8
+        code, tighter, _ = invoke(capsys, *argv, "--min-reverse-flow", "9")
+        assert code == 0 and len(tighter.split()) == 1
 
     def test_filter_and_strict(self, capsys):
         argv = ("synthesize", "--strategy", "II", "--count", "30", "--seed", "5")

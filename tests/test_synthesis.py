@@ -7,7 +7,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ringca.debruijn import (fixed_point_attractors, quiescent_states, stepper,
                              trivial_reachability)
@@ -415,6 +415,9 @@ def _free_values(table, r):
 
 class TestAssemblerScans:
     @given(st.integers(0, 2 ** 32), st.floats(0.2, 0.98), st.integers(1, 4))
+    # r = 623 is among the sampled RMTs, and for v = 8 its forward walk
+    # 239, 399 enters the 8-valued self-loop 999: only the cap of 6 ends it
+    @example(seed=4, density=0.5, max_run=3)
     @settings(max_examples=100, deadline=None)
     def test_against_reference(self, seed, density, max_run):
         # a partial table as synthesis leaves it: injective sibling sets,
@@ -497,32 +500,23 @@ class TestAssemblerScans:
                 _reference_closes_bad_cycle(table, r, w), w
 
 
-def _rebuilt_adjacency(table):
-    """The assembler's successor and predecessor tables, built afresh
-    from a (partial) rule table."""
+def _rebuilt_succ(table):
+    """The assembler's successor table, built afresh from a (partial)
+    rule table."""
     succ = [[-1] * 100 for _ in range(10)]
-    pred = [[0] * 100 for _ in range(10)]
     for r, v in enumerate(table):
         if v >= 0:
             succ[v][r // 10] = r % 100
-            pred[v][r % 100] |= 1 << (r // 10)
-    return succ, pred
+    return succ
 
 
-def _rebuilt_runs(table, max_run):
-    """The assembler's run-length tables, built afresh from a (partial)
-    rule table: per value, the length of the walk leaving each window
-    and of the longest walk ending at it, both capped at 2 * max_run."""
+def _rebuilt_behind(table, max_run):
+    """The assembler's run-length table, built afresh from a (partial)
+    rule table: per value, the length of the longest walk ending at each
+    window, capped at 2 * max_run."""
     cap = 2 * max_run
-    succ, _ = _rebuilt_adjacency(table)
-    ahead = [[0] * 100 for _ in range(10)]
     behind = [[0] * 100 for _ in range(10)]
     for v in range(10):
-        for w in range(100):
-            x = succ[v][w]
-            while x >= 0 and ahead[v][w] < cap:
-                ahead[v][w] += 1
-                x = succ[v][x]
         # windows that end a walk of k v-valued RMTs, for k = 1 .. cap
         ends = set(range(100))
         for k in range(1, cap + 1):
@@ -530,7 +524,7 @@ def _rebuilt_runs(table, max_run):
                     if value == v and r // 10 in ends}
             for w in ends:
                 behind[v][w] = k
-    return ahead, behind
+    return behind
 
 
 class TestAssemblerTables:
@@ -547,8 +541,8 @@ class TestAssemblerTables:
                 finished += 1
             except _DeadEnd:
                 dead_ends += 1
-            assert (asm.succ, asm.pred) == _rebuilt_adjacency(asm.table)
-            assert (asm.ahead, asm.behind) == _rebuilt_runs(asm.table, 3)
+            assert asm.succ == _rebuilt_succ(asm.table)
+            assert asm.behind == _rebuilt_behind(asm.table, 3)
             for j in range(100):
                 values = [asm.table[r] for r in range(10 * j, 10 * j + 10)
                           if asm.table[r] >= 0]
