@@ -149,9 +149,9 @@ def _debug_to_stderr(name: str):
 
 
 def _cmd_synthesize(args) -> int:
+    stats = _debug_to_stderr("ringca.synthesis") if args.stats \
+        else contextlib.nullcontext()
     if args.strategy == "decimal":
-        stats = _debug_to_stderr("ringca.synthesis") if args.stats \
-            else contextlib.nullcontext()
         with stats:
             rules = synthesis.synthesize_decimal(args.count, seed=args.seed)
     else:
@@ -161,8 +161,9 @@ def _cmd_synthesize(args) -> int:
         spec = synthesis.StrategySpec(args.strategy, seed=args.seed, **given)
         rules = synthesis.generate_strategy(spec, args.count)
         if args.filter:
-            rules = synthesis.filter_randomness_candidates(
-                rules, spec, strict=args.strict)
+            with stats:
+                rules = synthesis.filter_randomness_candidates(
+                    rules, spec, strict=args.strict)
     for rule in rules:
         if args.as_perm:
             print(synthesis.permutation_of(rule))
@@ -275,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the sibling-set-0 permutation instead")
     p.add_argument("--stats", action="store_true",
                    help="with --strategy decimal: print attempt, dead-end and "
-                        "rejection counts to stderr")
+                        "rejection counts to stderr; with --filter: print "
+                        "rejections by reason and the rules kept")
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("evolve", help="print a trajectory")
@@ -322,8 +324,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.verb == "synthesize":
-        if args.stats and args.strategy != "decimal":
-            parser.error("--stats needs --strategy decimal")
+        if args.stats and args.strategy != "decimal" and not args.filter:
+            parser.error("--stats needs --strategy decimal or --filter")
         if args.strict and not args.filter:
             parser.error("--strict needs --filter")
         if args.filter and args.strategy == "decimal":

@@ -213,6 +213,37 @@ class DeBruijnGraph:
     def edge_ends(self, rmt: int) -> tuple[int, int]:
         return rmt // self.d, rmt % self.num_nodes
 
+    def _cyclic_core(self, rmts: Iterable[int]) -> dict[int, list[int]]:
+        """The RMTs leaving each node of the subgraph with edge set ``rmts``
+        that can lie on a cycle.
+
+        Nodes that no edge enters are dropped with the edges that leave
+        them, repeatedly, since none of them lies on a cycle; nodes that no
+        edge leaves are never keys.  Every node left is entered by an edge
+        from a node left, so walking those edges backwards must close a
+        cycle: the result is empty iff the subgraph is acyclic.
+        """
+        d, num_nodes = self.d, self.num_nodes
+        succ: dict[int, list[int]] = {}
+        entering = [0] * num_nodes
+        for r in rmts:
+            succ.setdefault(r // d, []).append(r)
+            entering[r % num_nodes] += 1
+        sources = [w for w in succ if not entering[w]]
+        while sources:
+            for r in succ.pop(sources.pop()):
+                head = r % num_nodes
+                entering[head] -= 1
+                if not entering[head] and head in succ:
+                    sources.append(head)
+        return succ
+
+    def has_cycle(self, rmts: Iterable[int]) -> bool:
+        """Whether the subgraph with edge set ``rmts`` has a cycle (a
+        self-loop counts), found without listing any: ``bool(cycles(rmts))``
+        in time linear in the size of the graph."""
+        return bool(self._cyclic_core(rmts))
+
     def cycles(self, rmts: Iterable[int], max_len: int | None = None) -> list[tuple[int, ...]]:
         """Elementary cycles of the subgraph with edge set ``rmts``.
 
@@ -225,38 +256,25 @@ class DeBruijnGraph:
         cycle in canonical rotation; and no two RMTs share both ends, so
         node cycles and RMT cycles correspond one to one.
 
-        Before the search, nodes that no edge of the subgraph enters are
-        dropped with the edges that leave them, repeatedly, since none of
-        them lies on a cycle; nodes that no edge leaves are never entered.
-        On a functional graph (one outgoing edge per node, as in the
-        per-value subgraphs of a rule whose sibling sets are permutations)
-        only the cycle nodes remain.  The search keeps an explicit stack,
-        so unbounded searches on large graphs do not depend on the
-        recursion limit.  A search that finds more than ``_MAX_CYCLES``
-        cycles raises ``ValueError``.
+        The search runs only on the nodes that ``_cyclic_core`` leaves
+        (the pruning ``has_cycle`` runs too); on a functional graph (one
+        outgoing edge per node, as in the per-value subgraphs of a rule
+        whose sibling sets are permutations) those are the cycle nodes
+        alone.  The search keeps an explicit stack, so unbounded searches
+        on large graphs do not depend on the recursion limit.  A search
+        that finds more than ``_MAX_CYCLES`` cycles raises ``ValueError``.
         """
         if max_len is not None and max_len < 1:
             raise ValueError(f"cycle length bound must be at least 1, got {max_len}")
-        d, num_nodes = self.d, self.num_nodes
-        succ: dict[int, list[tuple[int, int]]] = {}
-        entering: dict[int, int] = {}
-        for r in rmts:
-            head = r % num_nodes
-            succ.setdefault(r // d, []).append((head, r))
-            entering[head] = entering.get(head, 0) + 1
-        # drop the nodes no edge enters, until every node left has one
-        sources = [w for w in succ if w not in entering]
-        while sources:
-            for head, _ in succ.pop(sources.pop()):
-                entering[head] -= 1
-                if not entering[head] and head in succ:
-                    sources.append(head)
+        num_nodes = self.num_nodes
+        succ = self._cyclic_core(rmts)
         out = []
         for start in sorted(succ):
             path, on_path = [], {start}  # RMTs walked, nodes on the walk
             stack = [(start, iter(succ[start]))]
             while stack:
-                for head, r in stack[-1][1]:
+                for r in stack[-1][1]:
+                    head = r % num_nodes
                     if head == start:
                         if len(out) == _MAX_CYCLES:
                             raise ValueError(

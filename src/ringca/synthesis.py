@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .debruijn import (fixed_point_attractors, quiescent_states,
+from .debruijn import (DeBruijnGraph, fixed_point_attractors, quiescent_states,
                        trivial_reachability)
-from .rules import Rule, check_dims, information_flow
+from .rules import Rule, check_dims, information_flow, self_replicating_rmts
 
 # largest rule table, in RMTs (d^m), that the strategy generators build
 MAX_STRATEGY_RMTS = 1 << 20
@@ -222,26 +222,57 @@ def filter_randomness_candidates(
     the quiescent one, and information flow of at least
     ``spec.min_reverse_flow`` set-score units in the weaker direction.
     With ``strict=True``, additionally reject any rule for which some
-    trivial configuration s^n has a non-trivial predecessor.  (With a
-    single quiescent state the other trivial configurations necessarily
-    map among themselves, so length-1 witnesses are always present and
-    only cycles of length >= 2 disqualify.)
+    trivial configuration s^n has a non-trivial predecessor.
+
+    Both attractor tests ask only whether a de Bruijn subgraph has a cycle
+    of two or more RMTs, so :meth:`DeBruijnGraph.has_cycle` answers them
+    without listing a cycle.  The self-loops of B(m-1, d) are exactly the
+    homogeneous RMTs s^m.  Fixed points are the cycles of the
+    self-replicating subgraph, whose self-loops are the homogeneous RMTs
+    of the quiescent states; so, with exactly one quiescent state, its
+    fixed point is the only one iff that subgraph less the homogeneous
+    RMTs is acyclic.  The predecessors of s^n are the cycles of the
+    R[r] = s subgraph, and those of length 1 are trivial configurations;
+    so ``strict`` holds iff every per-value subgraph less the homogeneous
+    RMTs is acyclic.
+
+    Each call logs its rejections, counted by the first test a rule
+    fails, and the rules kept as one DEBUG record on the
+    ``ringca.synthesis`` logger.
     """
     min_flow = (spec.min_reverse_flow if spec is not None
                 else StrategySpec.min_reverse_flow)
     kept = []
+    quiescent = fixed_point = flow = trivial = 0  # rejections by reason
     for rule in rules:
         if len(quiescent_states(rule)) != 1:
+            quiescent += 1
             continue
-        attractors = fixed_point_attractors(rule)
-        if len(attractors) != 1 or attractors[0][1] != 1:
+        d = rule.d
+        graph = DeBruijnGraph(d, rule.m)
+        homogeneous = {rule.homogeneous_rmt(s) for s in range(d)}
+        if graph.has_cycle(self_replicating_rmts(rule) - homogeneous):
+            fixed_point += 1
             continue
-        flow = information_flow(rule)
-        if min(flow.left_changes, flow.right_changes) < min_flow:
+        scores = information_flow(rule)
+        if min(scores.left_changes, scores.right_changes) < min_flow:
+            flow += 1
             continue
-        if strict and trivial_reachability(rule).nontrivial_predecessors():
-            continue
+        if strict:
+            by_value: list[list[int]] = [[] for _ in range(d)]
+            for r, v in enumerate(rule.table):
+                if r not in homogeneous:
+                    by_value[v].append(r)
+            if any(map(graph.has_cycle, by_value)):
+                trivial += 1
+                continue
         kept.append(rule)
+    import logging  # see synthesize_decimal
+    logging.getLogger(__name__).debug(
+        "filter_randomness_candidates(strict=%s, min_reverse_flow=%d): "
+        "%d rejected by quiescent states, %d by fixed points, %d by "
+        "information flow, %d by trivial predecessors, %d kept", strict,
+        min_flow, quiescent, fixed_point, flow, trivial, len(kept))
     return kept
 
 

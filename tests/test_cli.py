@@ -191,6 +191,18 @@ class TestSynthesize:
         # the handler is gone again
         assert invoke(capsys, *argv)[2] == ""
 
+    def test_filter_stats(self, capsys):
+        argv = ("synthesize", "--strategy", "II", "--count", "200", "--seed", "5",
+                "--filter", "--strict")
+        code, plain, err = invoke(capsys, *argv)
+        assert code == 0 and err == ""
+        code, out, err = invoke(capsys, *argv, "--stats")
+        assert code == 0 and out == plain
+        assert err == ("filter_randomness_candidates(strict=True, min_reverse_flow=8): "
+                       "137 rejected by quiescent states, 40 by fixed points, 3 by "
+                       "information flow, 20 by trivial predecessors, 0 kept\n")
+        assert invoke(capsys, *argv)[2] == ""
+
     @pytest.mark.parametrize("strategy, size", [
         ("I", ("--m", "0")), ("II", ("--m", "-1")), ("I", ("--d", "11")),
         ("I", ("--d", "10", "--m", "5000")), ("II", ("--d", "2", "--m", "30"))])
@@ -430,6 +442,16 @@ class TestEntryPoints:
                       "--rule", "01001011")
         assert proc.returncode == 0
         assert proc.stdout.startswith("non-trivially-semi-reversible")
+
+    @pytest.mark.parametrize("argv, code", [
+        (("classify", "--d", "2", "--m", "3", "--rule", "01001011"), 0),
+        (("classify", "--d", "2", "--m", "3", "--rule", "01001012"), 1),
+        (("classify", "--d", "2", "--m", "3", "--rule", "01001011", "--bogus"), 2),
+    ])
+    def test_package_main(self, argv, code):
+        proc = python("-m", "ringca", *argv)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.startswith("non-trivially-semi-reversible") == (code == 0)
 
     def test_no_networkx_import(self):
         proc = python("-c", "import sys, ringca.cli; "

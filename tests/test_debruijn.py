@@ -424,6 +424,54 @@ class TestCycleSearch:
             primary_rmt_sets(3, 3, 9)
 
 
+HAS_CYCLE_SHAPES = [(2, 3), (2, 4), (3, 3), (4, 3)]
+
+
+def homogeneous_rmts(d, m):
+    """The self-loops of B(m-1, d): the RMTs s^m."""
+    return {s * (d ** m - 1) // (d - 1) for s in range(d)}
+
+
+def lists_a_cycle(graph, rmts):
+    """``bool(graph.cycles(rmts))``; a search that stops past its cycle cap
+    has found cycles."""
+    try:
+        return bool(graph.cycles(rmts))
+    except ValueError:
+        return True
+
+
+class TestHasCycle:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_cycles(self, data):
+        d, m = data.draw(st.sampled_from(HAS_CYCLE_SHAPES))
+        loops = homogeneous_rmts(d, m)
+        rmts = data.draw(st.one_of(st.sets(st.integers(0, d ** m - 1)),
+                                   st.sets(st.sampled_from(sorted(loops)))))
+        graph = DeBruijnGraph(d, m)
+        for edges in (rmts, rmts - loops):
+            assert graph.has_cycle(edges) == lists_a_cycle(graph, edges)
+
+    @pytest.mark.parametrize("d, m", HAS_CYCLE_SHAPES)
+    def test_empty_and_self_loops(self, d, m):
+        graph = DeBruijnGraph(d, m)
+        loops = sorted(homogeneous_rmts(d, m))
+        assert not graph.has_cycle([])
+        for k in range(1, d + 1):
+            for chosen in itertools.combinations(loops, k):
+                assert graph.has_cycle(chosen)
+        # every other RMT, alone or with all of them: cycles but no self-loop
+        others = [r for r in range(d ** m) if r not in loops]
+        assert graph.has_cycle(others)
+        assert not any(graph.has_cycle([r]) for r in others)
+
+    def test_takes_an_iterator(self):
+        graph = DeBruijnGraph(2, 3)
+        assert graph.has_cycle(r for r in (2, 5))  # 01 -> 10 -> 01
+        assert not graph.has_cycle(iter([1, 3]))
+
+
 class TestFixedPoints:
     def test_strategy_i_sample(self):
         rule = parse_rule(STRATEGY_I_SAMPLE, 3, 3)

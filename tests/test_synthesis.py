@@ -277,6 +277,97 @@ class TestFilters:
             flow = information_flow(parse_rule(text, 3, 3))
             assert min(flow.left_changes, flow.right_changes) >= 8
 
+    def test_rule_with_many_fixed_points(self):
+        # the self-replicating subgraph holds more de Bruijn cycles than one
+        # search lists, and one of length 2 is enough to reject the rule
+        rule = many_fixed_points_rule()
+        assert quiescent_states(rule) == {0}
+        assert filter_randomness_candidates([rule]) == []
+        assert filter_randomness_candidates([rule], strict=True) == []
+
+    @pytest.mark.parametrize("d, m", [(3, 3), (2, 4), (4, 3), (5, 3)])
+    @pytest.mark.parametrize("min_flow", [0, 8])
+    def test_matches_reference_on_strategy_rules(self, d, m, min_flow):
+        for kind in ("I", "II", "III") if m == 3 else ("I", "II"):
+            spec = StrategySpec(kind, d=d, m=m, seed=100 * d + m,
+                                min_reverse_flow=min_flow)
+            self.check_against_reference(generate_strategy(spec, 150), spec)
+
+    def test_matches_reference_on_balanced_tables(self, second_approach_rules):
+        rng = random.Random(23)
+        rules = [parse_rule(t, 3, 3) for t in second_approach_rules[:100]]
+        for _ in range(600):
+            table = [v for v in range(3) for _ in range(9)]
+            rng.shuffle(table)
+            rules.append(Rule(3, 3, tuple(table)))
+        for min_flow in (0, 8):
+            self.check_against_reference(rules, StrategySpec("I", min_reverse_flow=min_flow))
+
+    @staticmethod
+    def check_against_reference(rules, spec):
+        for strict in (False, True):
+            assert (filter_randomness_candidates(rules, spec, strict=strict)
+                    == reference_filter(rules, spec.min_reverse_flow, strict))
+
+
+def many_fixed_points_rule() -> Rule:
+    """A d = 4 rule with one quiescent state, 0, in which every RMT but the
+    homogeneous 111, 222 and 333 self-replicates."""
+    table = [r // 4 % 4 for r in range(64)]
+    table[21] = table[42] = table[63] = 0
+    return Rule(4, 3, tuple(table))
+
+
+def reference_filter(rules, min_flow: int, strict: bool) -> list[Rule]:
+    """``filter_randomness_candidates`` as it was written before it tested
+    acyclicity: it lists every self-replicating cycle and, with ``strict``,
+    every cycle of each per-value subgraph."""
+    kept = []
+    for rule in rules:
+        if len(quiescent_states(rule)) != 1:
+            continue
+        attractors = fixed_point_attractors(rule)
+        if len(attractors) != 1 or attractors[0][1] != 1:
+            continue
+        flow = information_flow(rule)
+        if min(flow.left_changes, flow.right_changes) < min_flow:
+            continue
+        if strict and trivial_reachability(rule).nontrivial_predecessors():
+            continue
+        kept.append(rule)
+    return kept
+
+
+def _filter_stats(caplog, rules, **kwargs):
+    """The counts that one filter_randomness_candidates call logs."""
+    with caplog.at_level(logging.DEBUG, logger="ringca.synthesis"):
+        kept = filter_randomness_candidates(rules, **kwargs)
+    (record,) = [r for r in caplog.records if r.name == "ringca.synthesis"]
+    assert record.levelno == logging.DEBUG
+    counts = re.search(r": (\d+) rejected by quiescent states, (\d+) by fixed "
+                       r"points, (\d+) by information flow, (\d+) by trivial "
+                       r"predecessors, (\d+) kept$", record.getMessage())
+    return kept, tuple(int(c) for c in counts.groups())
+
+
+class TestFilterStats:
+    def test_each_reason_counted(self, caplog, second_approach_rules):
+        identity = Rule(3, 3, tuple(r // 3 % 3 for r in range(27)))
+        no_quiescent = Rule(3, 3, tuple((v + 1) % 3 for v in identity.table))
+        # least flow scores 10 and 9; FLOW_RULE alone fails strict
+        flow, good = parse_rule(FLOW_RULE, 3, 3), parse_rule(second_approach_rules[0], 3, 3)
+        rules = [identity, no_quiescent, many_fixed_points_rule(), flow, good]
+        kept, counts = _filter_stats(caplog, rules, strict=True)
+        assert kept == [good] and counts == (2, 1, 0, 1, 1)
+        caplog.clear()
+        spec = StrategySpec("II", min_reverse_flow=10)
+        kept, counts = _filter_stats(caplog, rules, spec=spec)
+        assert kept == [flow] and counts == (2, 1, 1, 0, 1)
+
+    def test_silent_by_default(self, capsys, second_approach_rules):
+        filter_randomness_candidates([parse_rule(second_approach_rules[0], 3, 3)])
+        assert capsys.readouterr().err == ""
+
 
 def bad_short_ring(rule: Rule, max_len: int):
     """Brute force: a ring of 2..max_len cells, not all equal, that is a
