@@ -264,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int,
                    help="with --strategy I or II (default 3)")
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=1,
+                   help="generator seed, taken mod 2^32 (--seed -5 gives the "
+                        "same rules as --seed 4294967291)")
     p.add_argument("--filter", action="store_true",
                    help="apply the quiescent/fixed-point/flow filters")
     p.add_argument("--strict", action="store_true",
@@ -276,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the sibling-set-0 permutation instead")
     p.add_argument("--stats", action="store_true",
                    help="with --strategy decimal: print attempt, dead-end and "
-                        "rejection counts to stderr; with --filter: print "
-                        "rejections by reason and the rules kept")
+                        "rejection counts and the RMTs lost to dead ends to "
+                        "stderr; with --filter: print rejections by reason "
+                        "and the rules kept")
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("evolve", help="print a trajectory")

@@ -308,7 +308,9 @@ def primary_rmt_sets(d: int, m: int, max_card: int) -> list[PrimaryRmtSet]:
 
 def quiescent_states(rule: Rule) -> set[int]:
     """States s with R(s, ..., s) = s."""
-    return {s for s in range(rule.d) if rule.table[rule.homogeneous_rmt(s)] == s}
+    # s^m is s times the RMT 1^m (see Rule.homogeneous_rmt)
+    ones, table = (rule.d ** rule.m - 1) // (rule.d - 1), rule.table
+    return {s for s in range(rule.d) if table[s * ones] == s}
 
 
 def fixed_point_attractors(

@@ -27,6 +27,8 @@ class Lcg:
 
     x <- (1664525 * x + 1013904223) mod 2^32 (Numerical Recipes constants);
     fixed here so synthesized rule lists are identical across platforms.
+    The seed is taken mod 2^32: seed -5 gives the same draws as seed
+    4294967291.
 
     ``randbelow(n)`` joins as many 32-bit draws as give n.bit_length() + 16
     bits, at least one word, and rejects values at or above the largest
@@ -372,7 +374,7 @@ class _DecimalAssembler:
     - ``succ[v][w]``: the head window of the v-valued RMT leaving window
       w, or -1 if there is none;
     - ``behind[v][w]``: the length of the longest v-valued RMT walk
-      ending at w, capped at 2 * max_run.
+      ending at w, capped at ``cap`` = 2 * max_run.
 
     Sibling set t is ``table[10t:10t+10]`` and equivalent set w (the
     RMTs entering window w) is ``table[w::100]``; unassigned RMTs read -1.
@@ -381,18 +383,22 @@ class _DecimalAssembler:
     injective throughout assembly (a value is only allowed if its sibling
     set does not hold it yet): the RMTs leaving w form sibling set w, so
     at most one of them is v-valued, and at most one self-replicating.
-    A forward walk is therefore unique, and :meth:`_run_through` counts
-    it along ``succ``.  Walks ending at w are not unique, so ``behind``
-    is kept instead: within one attempt RMTs are only ever added, so
-    walks only get longer and ``behind`` only grows.  A new v-valued
-    edge t -> h lengthens the walks that leave h, which follow
-    ``succ[v]``; the update stops where a value no longer grows, since
-    nothing ahead of an unchanged value changes.
+    A forward walk is therefore unique, and :meth:`_runs` scores a value
+    v for r with one walk along ``succ[v]`` from r's head window: its
+    length gives the run out of r, and whether it meets r's tail window
+    within 3 steps tells whether v would close a short constant cycle.
+    Walks ending at w are not unique, so ``behind`` is kept instead:
+    within one attempt RMTs are only ever added, so walks only get longer
+    and ``behind`` only grows.  A new v-valued edge t -> h lengthens the
+    walks that leave h, which follow ``succ[v]``; the update stops where
+    a value no longer grows, since nothing ahead of an unchanged value
+    changes.
     """
 
     def __init__(self, rng: Lcg, max_run: int):
         self.rng = rng
         self.max_run = max_run
+        self.cap = 2 * max_run
         self.table = [-1] * 1000
         self.succ = [[-1] * 100 for _ in range(10)]
         self.behind = [[0] * 100 for _ in range(10)]
@@ -410,88 +416,107 @@ class _DecimalAssembler:
     def _set(self, r: int, v: int) -> None:
         t, h = r // 10, r % 100
         self.table[r] = v
-        succ, behind = self.succ[v], self.behind[v]
+        succ, behind, cap = self.succ[v], self.behind[v], self.cap
         succ[t] = h
-        cap = 2 * self.max_run
         # walks leaving h may now start behind t
-        w, n = h, min(cap, behind[t] + 1)
+        w, n = h, behind[t]
+        if n < cap:
+            n += 1
         while w >= 0 and behind[w] < n:
             behind[w] = n
-            w, n = succ[w], min(cap, n + 1)
+            w = succ[w]
+            if n < cap:
+                n += 1
 
-    def _run_through(self, r: int, v: int) -> int:
-        """Longest same-value RMT walk through r if r took value v.
+    def _runs(self, r: int, values: list[int]) -> list[tuple[int, int]]:
+        """(run, v) for each v of ``values``, in order, that closes no
+        constant or self-replicating cycle of 2..4 RMTs through RMT r.
 
-        The longest v-valued walk into r, r itself, and the walk out of
-        r, each side capped at 2 * max_run; walks, not paths, because an
-        RMT may repeat (r itself never does: it is unassigned, so no
-        walk passes through it).  The side into r is ``behind`` at r's
-        tail window; the side out of r is counted along ``succ`` from
-        its head window, and the cap ends a walk that enters a cycle,
-        such as a v-valued self-loop.
+        The values must be free in r's sibling set, so no v-valued RMT
+        leaves r's tail window.  A bad cycle is r and a walk of 1..3 RMTs
+        from r's head window back to its tail window: along v-valued RMTs,
+        or, if v is r's middle digit, along self-replicating ones (window
+        w leaves by value w % 10).  Length-1 loops are the trivial fixed
+        points and stay allowed.  The run is the longest v-valued walk
+        through r if r took v: ``behind`` at the tail window, r itself,
+        and the walk out of the head window, capped at ``cap``.  They are
+        walks, not paths: the cap ends a walk caught in a cycle, such as
+        a v-valued self-loop, and r, unassigned, is on none of them.  One
+        walk along ``succ[v]``, of up to max(cap, 3) steps, gives both the
+        run out of r and the constant-cycle test; it ends where it meets
+        the tail window.
         """
-        cap, succ = 2 * self.max_run, self.succ[v]
-        n, w = 0, succ[r % 100]
-        while w >= 0 and n < cap:
-            n, w = n + 1, succ[w]
-        return self.behind[v][r // 10] + 1 + n
-
-    def _closes_bad_cycle(self, r: int, v: int) -> bool:
-        """Would value v close a constant or self-replicating cycle of
-        length 2..4 through RMT r?  (Length-1 loops are the trivial
-        fixed points and stay allowed.)  Such a cycle is r followed by a
-        walk of 1..3 RMTs from r's head window back to its tail window:
-        along v-valued RMTs, or, if v is r's middle digit, along
-        self-replicating ones (window w leaves by value w % 10)."""
-        tail, succ = r // 10, self.succ
-        for replicating in (False, True) if v == tail % 10 else (False,):
-            w = r % 100
+        tail, head = r // 10, r % 100
+        middle, cap, succ, behind = tail % 10, self.cap, self.succ, self.behind
+        reach = cap if cap > 3 else 3
+        closing = -1  # the middle digit, if it closes a self-replicating cycle
+        if middle in values:
+            w = head
             for _ in range(3):
-                w = succ[w % 10 if replicating else v][w]
+                w = succ[w % 10][w]
                 if w < 0:
                     break
                 if w == tail:
-                    return True
-        return False
+                    closing = middle
+                    break
+        runs = []
+        for v in values:
+            ahead, n, w = succ[v], 0, head
+            while n < reach:
+                w = ahead[w]
+                if w < 0:
+                    break
+                n += 1
+                if w == tail:
+                    break
+            if (w == tail and n <= 3) or v == closing:
+                continue
+            runs.append((behind[v][tail] + 1 + (n if n < cap else cap), v))
+        return runs
 
     def assign_cycle(self, cycle: tuple[int, ...]) -> None:
-        table = self.table
+        """Assign the unassigned RMTs of one staged set, tightest sibling
+        set first.  :meth:`_runs` scores each allowed value of an RMT with
+        one forward walk; the RMT draws at random among the safe values
+        whose run stays below max_run, or takes the shortest run, least
+        value first, when none does.  Raises :class:`_DeadEnd` when no
+        value is safe."""
+        table, max_run, choice = self.table, self.max_run, self.rng.choice
         todo = [r for r in cycle if table[r] == -1]
         # fill the tightest sibling sets first; their slots are forced anyway
         if len(todo) > 1:
             todo.sort(key=lambda r: table[r - r % 10:r - r % 10 + 10].count(-1))
         for r in todo:
-            allowed = sorted(_DIGITS.difference(table[r - r % 10:r - r % 10 + 10]))
-            allowed = self._prune(cycle, r, allowed)
-            runs = {v: self._run_through(r, v) for v in allowed
-                    if not self._closes_bad_cycle(r, v)}
+            base = r - r % 10
+            allowed = sorted(_DIGITS.difference(table[base:base + 10]))
+            runs = self._runs(r, self._prune(cycle, r, allowed, r == todo[-1]))
             if not runs:
                 raise _DeadEnd  # whatever we pick, verification will fail
-            candidates = [v for v, run in runs.items() if run < self.max_run]
-            if candidates:
-                v = self.rng.choice(candidates)
-            else:
-                # no value avoids a long run: take the least-bad one
-                v = min(runs, key=lambda v: (runs[v], v))
-            self._set(r, v)
+            candidates = [v for run, v in runs if run < max_run]
+            # else no value avoids a long run: take the least-bad one
+            self._set(r, choice(candidates) if candidates else min(runs)[1])
 
-    def _prune(self, cycle: tuple[int, ...], r: int, allowed: list[int]) -> list[int]:
-        others = [x for x in cycle if x != r]
-        pruned = list(allowed)
-        if all(self.table[x] != -1 for x in others):
-            # last member: the set must not become constant ...
-            values = {self.table[x] for x in others}
+    def _prune(self, cycle: tuple[int, ...], r: int, allowed: list[int],
+               last: bool) -> list[int]:
+        """``allowed`` less the values that would make a set constant or
+        entirely self-replicating, or ``allowed`` if that leaves none;
+        ``last`` says that r is the cycle's last unassigned RMT."""
+        table = self.table
+        pruned = allowed
+        if last:
+            # the set must not become constant ...
+            values = {table[x] for x in cycle if x != r}
             if len(values) == 1:
                 pruned = [v for v in pruned if v not in values]
             # ... nor entirely self-replicating
-            middle = (r // 10) % 10
-            if all(self.table[x] == (x // 10) % 10 for x in others):
+            if all(table[x] == x // 10 % 10 for x in cycle if x != r):
+                middle = r // 10 % 10
                 pruned = [v for v in pruned if v != middle]
         # avoid completing an equivalent set with one repeated value
-        equi = self.table[r % 100::100]
+        equi = table[r % 100::100]
         if equi.count(-1) == 1 and len(set(equi)) == 2:
             pruned = [v for v in pruned if v not in equi]
-        return pruned if pruned else allowed
+        return pruned or allowed
 
 
 def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
@@ -505,8 +530,9 @@ def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
     RMT itself, so ``max_run`` must be at least 2).
     Finished rules must pass :func:`equivalent_sets_acceptable` and
     :func:`verify_rule`; failures are discarded and retried.  Each call
-    logs its attempts, dead ends and rejections as one DEBUG record on
-    the ``ringca.synthesis`` logger.
+    logs its attempts, dead ends and rejections, and the RMTs that the
+    dead-end attempts had assigned, as one DEBUG record on the
+    ``ringca.synthesis`` logger.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -517,16 +543,18 @@ def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
     rng = Lcg(seed)
     stages = assignment_stages(10)
     out: list[Rule] = []
-    attempts = dead_ends = unequal = unverified = 0
+    attempts = dead_ends = unequal = unverified = lost = 0
     try:
         while len(out) < count:
             if attempts >= max_attempts_per_rule * count:
                 raise RuntimeError("synthesis rejection rate too high")
             attempts += 1
+            assembler = _DecimalAssembler(rng, max_run)
             try:
-                table = _DecimalAssembler(rng, max_run).assemble(stages)
+                table = assembler.assemble(stages)
             except _DeadEnd:
                 dead_ends += 1
+                lost += 1000 - assembler.table.count(-1)
                 continue
             if -1 in table:  # every RMT is covered by the stages
                 raise AssertionError("staged sets failed to cover the rule table")
@@ -545,8 +573,9 @@ def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
         logging.getLogger(__name__).debug(
             "synthesize_decimal(%d, seed=%d, max_run=%d): %d attempts, "
             "%d dead ends, %d rejected by equivalent_sets_acceptable, "
-            "%d rejected by verify_rule, %d accepted", count, seed, max_run,
-            attempts, dead_ends, unequal, unverified, len(out))
+            "%d rejected by verify_rule, %d accepted, %d RMTs lost to dead "
+            "ends", count, seed, max_run, attempts, dead_ends, unequal,
+            unverified, len(out), lost)
     return out
 
 

@@ -704,7 +704,9 @@ class _ClassifyBuilder(_Builder):
 
 
 def _strictly_irreversible(rule: Rule) -> bool:
-    return len({rule.table[rule.homogeneous_rmt(s)] for s in range(rule.d)}) < rule.d
+    # s^m is s times the RMT 1^m (see Rule.homogeneous_rmt)
+    ones, table = (rule.d ** rule.m - 1) // (rule.d - 1), rule.table
+    return len({table[s * ones] for s in range(rule.d)}) < rule.d
 
 
 def classify(rule: Rule) -> ReversibilityReport:

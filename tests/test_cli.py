@@ -179,6 +179,12 @@ class TestSynthesize:
         assert code == 0
         assert sorted(perm) == list("0123456789")
 
+    def test_seed_taken_mod_2_32(self, capsys):
+        argv = ("synthesize", "--strategy", "decimal", "--as-perm")
+        code, out, _ = invoke(capsys, *argv, "--seed", "-5")
+        assert code == 0
+        assert invoke(capsys, *argv, "--seed", str(2 ** 32 - 5)) == (0, out, "")
+
     def test_decimal_stats(self, capsys):
         argv = ("synthesize", "--strategy", "decimal", "--count", "1",
                 "--seed", "2024", "--as-perm")
@@ -187,7 +193,8 @@ class TestSynthesize:
         code, out, err = invoke(capsys, *argv, "--stats")
         assert code == 0 and out == plain
         assert err.startswith("synthesize_decimal(1, seed=2024, max_run=3): ")
-        assert err.count("\n") == 1 and "1 accepted" in err
+        assert err.count("\n") == 1 and "1 accepted, " in err
+        assert err.endswith(" RMTs lost to dead ends\n")
         # the handler is gone again
         assert invoke(capsys, *argv)[2] == ""
 

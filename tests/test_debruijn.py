@@ -513,6 +513,21 @@ class TestQuiescent:
         table = tuple((r // 3) % 3 for r in range(27))
         assert quiescent_states(Rule(3, 3, table)) == {0, 1, 2}
 
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_against_homogeneous_rmt(self, d):
+        # random tables in which each state is quiescent or not at random
+        rnd = random.Random(d)
+        for m in (2, 3, 4):
+            for _ in range(10):
+                table = [rnd.randrange(d) for _ in range(d ** m)]
+                probe = Rule(d, m, tuple(table))
+                for s in range(d):
+                    if rnd.random() < 0.5:
+                        table[probe.homogeneous_rmt(s)] = s
+                rule = Rule(d, m, tuple(table))
+                assert quiescent_states(rule) == {
+                    s for s in range(d) if rule.table[rule.homogeneous_rmt(s)] == s}
+
     def test_eca_30(self):
         rule = eca(30)
         assert quiescent_states(rule) == {0}

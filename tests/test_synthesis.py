@@ -37,6 +37,12 @@ class TestLcg:
         assert set(values) <= set(range(6))
         assert len(set(values)) == 6
 
+    def test_seed_taken_mod_2_32(self):
+        rng, same = Lcg(-5), Lcg(2 ** 32 - 5)
+        assert rng.state == same.state == 2 ** 32 - 5
+        assert [rng.next_u32() for _ in range(3)] == \
+            [same.next_u32() for _ in range(3)]
+
     def test_shuffle_is_permutation(self):
         rng = Lcg(99)
         items = list(range(10))
@@ -504,6 +510,58 @@ def _free_values(table, r):
     return sorted(set(range(10)) - set(table[r // 10 * 10:r // 10 * 10 + 10]))
 
 
+def _check_runs(asm, r):
+    """The assembler's one-walk scores of every free value of r against
+    the two reference scans: a value is scored iff it closes no bad
+    cycle, and then with the reference run."""
+    free = _free_values(asm.table, r)
+    runs = asm._runs(r, free)
+    assert [v for _, v in runs] == [
+        v for v in free if not _reference_closes_bad_cycle(asm.table, r, v)], r
+    for run, v in runs:
+        assert run == _reference_run_through(asm.table, asm.max_run, r, v), (r, v)
+
+
+def _partial_table(rnd, density):
+    """A partial table as synthesis leaves it: injective sibling sets,
+    unassigned RMTs at -1."""
+    table = [-1] * 1000
+    for j in range(100):
+        values = list(range(10))
+        rnd.shuffle(values)
+        for t, v in enumerate(values):
+            if rnd.random() < density:
+                table[10 * j + t] = v
+    return table
+
+
+def _put(table, x, value):
+    """Set RMT x to ``value``, clearing the value elsewhere in x's sibling
+    set so that the set stays injective."""
+    for y in range(x // 10 * 10, x // 10 * 10 + 10):
+        if table[y] == value:
+            table[y] = -1
+    table[x] = value
+
+
+def _assembler(table, seed, max_run, cls=_DecimalAssembler):
+    asm = cls(Lcg(seed), max_run)
+    for x, value in enumerate(table):
+        if value >= 0:
+            asm._set(x, value)
+    return asm
+
+
+def _debruijn_cycle(digits):
+    """The RMTs of the de Bruijn cycle that reads ``digits`` round the
+    ring, or None if a window repeats."""
+    n = len(digits)
+    windows = [10 * digits[i] + digits[(i + 1) % n] for i in range(n)]
+    if len(set(windows)) < n:
+        return None
+    return [10 * windows[i] + digits[(i + 2) % n] for i in range(n)]
+
+
 class TestAssemblerScans:
     @given(st.integers(0, 2 ** 32), st.floats(0.2, 0.98), st.integers(1, 4))
     # r = 623 is among the sampled RMTs, and for v = 8 its forward walk
@@ -511,45 +569,27 @@ class TestAssemblerScans:
     @example(seed=4, density=0.5, max_run=3)
     @settings(max_examples=100, deadline=None)
     def test_against_reference(self, seed, density, max_run):
-        # a partial table as synthesis leaves it: injective sibling sets,
-        # unassigned RMTs at -1
         rnd = random.Random(seed)
-        asm = _DecimalAssembler(Lcg(seed), max_run)
-        for j in range(100):
-            values = list(range(10))
-            rnd.shuffle(values)
-            for t, v in enumerate(values):
-                if rnd.random() < density:
-                    asm._set(10 * j + t, v)
+        asm = _assembler(_partial_table(rnd, density), seed, max_run)
         unassigned = [r for r in range(1000) if asm.table[r] == -1]
         for r in rnd.sample(unassigned, min(25, len(unassigned))):
-            for v in _free_values(asm.table, r):
-                assert asm._run_through(r, v) == \
-                    _reference_run_through(asm.table, max_run, r, v), (r, v)
-                assert asm._closes_bad_cycle(r, v) == \
-                    _reference_closes_bad_cycle(asm.table, r, v), (r, v)
+            _check_runs(asm, r)
 
-    @given(st.integers(0, 2 ** 32), st.floats(0.2, 0.98), st.integers(2, 4))
+    @given(st.integers(0, 2 ** 32), st.floats(0.2, 0.98), st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_tables_do_not_depend_on_order(self, seed, density, max_run):
         # the run-length tables grow edge by edge; setting the RMTs of a
         # partial table in any order must give the same runs
         rnd = random.Random(seed)
-        assigned = []
-        for j in range(100):
-            values = list(range(10))
-            rnd.shuffle(values)
-            assigned += [(10 * j + t, v) for t, v in enumerate(values)
-                         if rnd.random() < density]
+        table = _partial_table(rnd, density)
+        assigned = [(r, v) for r, v in enumerate(table) if v >= 0]
         rnd.shuffle(assigned)
         asm = _DecimalAssembler(Lcg(seed), max_run)
         for r, v in assigned:
             asm._set(r, v)
         for r in range(1000):
             if asm.table[r] == -1:
-                for v in _free_values(asm.table, r):
-                    assert asm._run_through(r, v) == \
-                        _reference_run_through(asm.table, max_run, r, v), (r, v)
+                _check_runs(asm, r)
 
     @given(st.lists(st.integers(0, 9), min_size=2, max_size=4),
            st.integers(0, 3), st.integers(0, 2 ** 32), st.floats(0.0, 0.9))
@@ -558,37 +598,151 @@ class TestAssemblerScans:
         # an elementary 2-, 3- or 4-RMT de Bruijn cycle whose RMTs all
         # replicate their middle digit except r, still unassigned: value
         # v = r's middle digit would close it
-        n = len(digits)
-        windows = [10 * digits[i] + digits[(i + 1) % n] for i in range(n)]
-        assume(len(set(windows)) == n)
-        cycle = [10 * windows[i] + digits[(i + 2) % n] for i in range(n)]
-        r = cycle[at % n]
+        cycle = _debruijn_cycle(digits)
+        assume(cycle is not None)
+        r = cycle[at % len(cycle)]
         v = (r // 10) % 10
         # a random partial table around it, sibling sets kept injective
-        rnd = random.Random(seed)
-        table = [-1] * 1000
-        for j in range(100):
-            values = list(range(10))
-            rnd.shuffle(values)
-            for t, value in enumerate(values):
-                if rnd.random() < density:
-                    table[10 * j + t] = value
+        table = _partial_table(random.Random(seed), density)
         for x in cycle:
-            value = (x // 10) % 10
-            for y in range(x // 10 * 10, x // 10 * 10 + 10):
-                if table[y] == value:
-                    table[y] = -1
-            table[x] = value
+            _put(table, x, (x // 10) % 10)
         table[r] = -1  # v is now free in r's sibling set
-        asm = _DecimalAssembler(Lcg(seed), 3)
-        for x, value in enumerate(table):
-            if value >= 0:
-                asm._set(x, value)
+        asm = _assembler(table, seed, 3)
         assert _reference_closes_bad_cycle(table, r, v)
-        assert asm._closes_bad_cycle(r, v)
-        for w in _free_values(asm.table, r):
-            assert asm._closes_bad_cycle(r, w) == \
-                _reference_closes_bad_cycle(table, r, w), w
+        assert v not in [w for _, w in asm._runs(r, _free_values(table, r))]
+        _check_runs(asm, r)
+
+    @given(st.lists(st.integers(0, 9), min_size=2, max_size=4),
+           st.integers(0, 3), st.integers(0, 9), st.integers(1, 4),
+           st.integers(0, 2 ** 32), st.floats(0.0, 0.9))
+    @settings(max_examples=100, deadline=None)
+    def test_constant_cycles(self, digits, at, v, max_run, seed, density):
+        # the same with every other RMT of the cycle at value v: the walk
+        # back to r's tail window takes up to 3 steps, more than the cap
+        # of 2 that max_run = 1 gives the run
+        cycle = _debruijn_cycle(digits)
+        assume(cycle is not None)
+        r = cycle[at % len(cycle)]
+        table = _partial_table(random.Random(seed), density)
+        for x in cycle:
+            _put(table, x, v)
+        table[r] = -1
+        asm = _assembler(table, seed, max_run)
+        assert _reference_closes_bad_cycle(table, r, v)
+        assert v not in [w for _, w in asm._runs(r, _free_values(table, r))]
+        _check_runs(asm, r)
+
+
+class _ReferenceAssembler(_DecimalAssembler):
+    """The assembler's value assignment before the one-walk scorer: two
+    scans per value, and the last-member test of ``_prune`` on every RMT.
+    ``assign_cycle`` and ``_prune`` are kept as they were; the two scans
+    are the reference enumerators above."""
+
+    def _run_through(self, r, v):
+        return _reference_run_through(self.table, self.max_run, r, v)
+
+    def _closes_bad_cycle(self, r, v):
+        return _reference_closes_bad_cycle(self.table, r, v)
+
+    def assign_cycle(self, cycle):
+        table = self.table
+        todo = [r for r in cycle if table[r] == -1]
+        # fill the tightest sibling sets first; their slots are forced anyway
+        if len(todo) > 1:
+            todo.sort(key=lambda r: table[r - r % 10:r - r % 10 + 10].count(-1))
+        for r in todo:
+            allowed = sorted(set(range(10)).difference(table[r - r % 10:r - r % 10 + 10]))
+            allowed = self._prune(cycle, r, allowed)
+            runs = {v: self._run_through(r, v) for v in allowed
+                    if not self._closes_bad_cycle(r, v)}
+            if not runs:
+                raise _DeadEnd  # whatever we pick, verification will fail
+            candidates = [v for v, run in runs.items() if run < self.max_run]
+            if candidates:
+                v = self.rng.choice(candidates)
+            else:
+                # no value avoids a long run: take the least-bad one
+                v = min(runs, key=lambda v: (runs[v], v))
+            self._set(r, v)
+
+    def _prune(self, cycle, r, allowed):
+        others = [x for x in cycle if x != r]
+        pruned = list(allowed)
+        if all(self.table[x] != -1 for x in others):
+            # last member: the set must not become constant ...
+            values = {self.table[x] for x in others}
+            if len(values) == 1:
+                pruned = [v for v in pruned if v not in values]
+            # ... nor entirely self-replicating
+            middle = (r // 10) % 10
+            if all(self.table[x] == (x // 10) % 10 for x in others):
+                pruned = [v for v in pruned if v != middle]
+        # avoid completing an equivalent set with one repeated value
+        equi = self.table[r % 100::100]
+        if equi.count(-1) == 1 and len(set(equi)) == 2:
+            pruned = [v for v in pruned if v not in equi]
+        return pruned if pruned else allowed
+
+
+_STAGES = assignment_stages(10)
+
+
+class TestAssignCycle:
+    @given(st.integers(1, 3), st.integers(0, 647), st.integers(0, 3),
+           st.sampled_from(["random", "constant", "replicating", "equivalent",
+                            "forced"]),
+           st.integers(0, 2 ** 32), st.floats(0.2, 0.98), st.integers(1, 4))
+    @example(stage=1, index=0, at=0, shape="forced", seed=20260811,
+             density=0.5, max_run=3)
+    @settings(max_examples=300, deadline=None)
+    def test_against_reference(self, stage, index, at, shape, seed, density,
+                               max_run):
+        # one staged set of 2, 3 or 4 RMTs assigned on a random partial
+        # table; shapes other than "random" leave one member r unassigned
+        # and give it a neighbourhood that the pruning acts on
+        cycle = _STAGES[stage][index % len(_STAGES[stage])]
+        r = cycle[at % len(cycle)]
+        rnd = random.Random(seed)
+        table = _partial_table(rnd, density)
+        c = rnd.randrange(10)
+        if shape == "constant":  # the other members all take c
+            for x in cycle:
+                _put(table, x, c)
+        elif shape == "replicating":  # ... or their middle digits
+            for x in cycle:
+                _put(table, x, (x // 10) % 10)
+        elif shape == "equivalent":  # r's equivalent set is c but for r
+            for x in range(r % 100, 1000, 100):
+                _put(table, x, c)
+        elif shape == "forced":
+            # r's sibling set leaves it c, which the other members hold,
+            # and e, which the rest of its equivalent set holds: both are
+            # pruned, so both stay allowed, and c closes a constant cycle
+            e = (c + 1 + rnd.randrange(9)) % 10
+            for x in cycle:
+                _put(table, x, c)
+            for x in range(r % 100, 1000, 100):
+                _put(table, x, e)
+            base = r // 10 * 10
+            slots = [y for y in range(base, base + 10) if y != r]
+            table[slots.pop()] = -1
+            for y, value in zip(slots, sorted(set(range(10)) - {c, e})):
+                _put(table, y, value)
+        if shape != "random":
+            table[r] = -1
+        new = _assembler(table, seed, max_run)
+        ref = _assembler(table, seed, max_run, _ReferenceAssembler)
+        ends = []
+        for asm in (new, ref):
+            try:
+                asm.assign_cycle(cycle)
+                ends.append(False)
+            except _DeadEnd:
+                ends.append(True)
+        assert ends[0] == ends[1]
+        assert new.table == ref.table
+        assert new.rng.state == ref.rng.state
 
 
 def _rebuilt_succ(table):
@@ -658,6 +812,10 @@ class TestSynthesisStats:
         rules, counts = _stats(caplog, 6, seed=20260811)
         assert len(rules) == 6
         assert counts == (37, 31, 0, 0, 6)
+        # the RMTs that the 31 dead-end attempts had assigned
+        (record,) = [r for r in caplog.records if r.name == "ringca.synthesis"]
+        assert record.getMessage().endswith(
+            ", 6 accepted, 27234 RMTs lost to dead ends")
 
     def test_rejections_counted(self, caplog, monkeypatch):
         # reject the first finished rule by each test in turn

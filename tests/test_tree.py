@@ -11,7 +11,8 @@ from ringca.synthesis import (StrategySpec, generate_strategy,
                               rule_from_permutation)
 from ringca.tree import (Classification, IrrevExpression, ReversibilityCheck,
                          _ClassifyBuilder, _Context, _FixedSizeBuilder,
-                         _IrreversibleFound, _WideNodes, check_reversible,
+                         _IrreversibleFound, _WideNodes,
+                         _strictly_irreversible, check_reversible,
                          child_node, classify, merge_expressions,
                          restrict_last_levels, reversible_sizes, root_node)
 
@@ -594,6 +595,24 @@ class TestClassify:
             report = classify(eca(number))
             data = json.loads(json.dumps(report.to_dict()))
             assert ReversibilityReport.from_dict(data) == report
+
+
+class TestStrictlyIrreversible:
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_against_homogeneous_rmt(self, d):
+        # random tables, half of them with the homogeneous RMTs mapped
+        # onto a permutation of the states
+        rnd = random.Random(d)
+        for m in (2, 3, 4):
+            for _ in range(10):
+                table = [rnd.randrange(d) for _ in range(d ** m)]
+                probe = Rule(d, m, tuple(table))
+                if rnd.random() < 0.5:
+                    for s, value in enumerate(rnd.sample(range(d), d)):
+                        table[probe.homogeneous_rmt(s)] = value
+                rule = Rule(d, m, tuple(table))
+                images = {rule.table[rule.homogeneous_rmt(s)] for s in range(d)}
+                assert _strictly_irreversible(rule) == (len(images) < d)
 
 
 class TestReversibleSizes:
