@@ -11,7 +11,9 @@ assembles 10-state rules primary-set by primary-set.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations, product
 
 from .debruijn import (DeBruijnGraph, fixed_point_attractors, quiescent_states,
@@ -357,6 +359,13 @@ def assignment_stages(d: int = 10) -> list[list[tuple[int, ...]]]:
     return stages
 
 
+@cache
+def _decimal_stages() -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The stages of ``assignment_stages(10)``, built once: every decimal
+    synthesis assigns the same sets in the same order."""
+    return tuple(map(tuple, assignment_stages(10)))
+
+
 class _DeadEnd(Exception):
     """A forced assignment closed a short bad cycle; retry the attempt."""
 
@@ -403,7 +412,7 @@ class _DecimalAssembler:
         self.succ = [[-1] * 100 for _ in range(10)]
         self.behind = [[0] * 100 for _ in range(10)]
 
-    def assemble(self, stages: list[list[tuple[int, ...]]]) -> tuple[int, ...]:
+    def assemble(self, stages: Sequence[Sequence[tuple[int, ...]]]) -> tuple[int, ...]:
         """Random singletons, then the later stages set by set; raises
         :class:`_DeadEnd` when an RMT has no safe value."""
         for (r,) in stages[0]:
@@ -541,7 +550,7 @@ def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
     if max_attempts_per_rule < 1:
         raise ValueError("max_attempts_per_rule must be at least 1")
     rng = Lcg(seed)
-    stages = assignment_stages(10)
+    stages = _decimal_stages()
     out: list[Rule] = []
     attempts = dead_ends = unequal = unverified = lost = 0
     try:

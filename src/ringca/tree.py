@@ -51,12 +51,14 @@ d^(iota-1), so the counts of a slot's restriction are one entry of a
 per-content table of counts by residue.  One list per slot index holds,
 by id, the counts of the full content and of its restriction to every
 last level, one field group per level, so judging a unique node is one
-sum over its slots.  An entry is filled when a node first holds that
-content in that slot: the trees that check every (slot index, content)
-pair are the large ones, and a short tree with many contents uses few.
-No restricted content or node is ever built: a fixed-size check judges
-the levels below n - m + 1 by walking full contents with the same
-verdict.
+sum over its slots.  A content's entries at every slot index, its
+column, are filled together the first time a judged node holds it, with
+its residue tables computed then and not when it is interned: the large
+trees judge every content, while a tree decided near the root judges few
+of the contents it interns (about 130 of 330 for a random balanced
+10-state rule checked at n = 5).  No restricted content or node is ever
+built: a fixed-size check judges the levels below n - m + 1 by walking
+full contents with the same verdict.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import getitem, itemgetter
+from itertools import repeat
+from operator import add, getitem, itemgetter
 
 from .rules import Rule, is_balanced
 
@@ -109,13 +112,16 @@ class _Context:
     (1 <= iota <= m-1) those of its restriction to level n - iota, which
     keeps the RMTs r with ``r % d**(m-iota) == k // d**(iota-1)``.  So
     group iota is one entry of the content's residue table for iota, its
-    value counts by residue of r modulo d**(m-iota) (``counts``, filled
-    when the content is interned).  A node's verdict is one sum per unique
-    node, ``sum(map(getitem, judge, gamma))``, over plain lists; a node
-    that holds an id in a slot for the first time fails that sum on a
-    missing entry, and ``_fill`` writes the node's entries before the sum
-    is taken again.  The total's group 0 must read d^m RMTs, balanced, and
-    each group iota d^iota, or the node fails at n - iota.
+    value counts by residue of r modulo d**(m-iota) (``_counts``).  A
+    node's verdict is one sum per unique node,
+    ``sum(map(getitem, judge, gamma))``, over plain lists.  A node that
+    holds an id no judged node held before fails that sum on a missing
+    entry; ``_fill_columns`` then computes the residue tables of each such
+    content and writes its entries at every slot index, its column, with
+    C-level ``map`` calls, before the sum is taken again.  The total's
+    group 0 must read d^m RMTs, balanced, and each group iota d^iota, or
+    the node fails at n - iota.  Verdicts are kept by the total's
+    difference from a passing one, so nodes that fail alike share one.
     """
 
     def __init__(self, rule: Rule):
@@ -147,15 +153,16 @@ class _Context:
         self.steps = [1] + [d ** (m - iota) for iota in range(1, m)]
         self.units = [[1 << (v * self.width + iota * self.group) for v in rule.table]
                       for iota in range(m)]
-        # per slot index: the residue slot k keeps in each field group
-        self.residues = [(0, *(k // d ** (iota - 1) for iota in range(1, m)))
-                         for k in range(self.num_sets)]
+        # slot k keeps residue k // d**(iota-1) in field group iota: k
+        # itself in group 1, and these getters' entries in groups 2 and up
+        self.residues = [itemgetter(*(k // d ** (iota - 1) for k in range(self.num_sets)))
+                         for iota in range(2, m)]
         self.masks: list[int] = []  # slot id -> RMT bitmask
         self.ids: dict[int, int] = {}  # RMT bitmask -> slot id
-        self.counts: list[list[list[int]]] = []  # slot id -> residue tables
         # per slot index: slot id -> packed counts of every field group,
-        # or None until a node holds the id in that slot
+        # or None until a judged node holds the id
         self.judge: list[list[int | None]] = [[] for _ in range(self.num_sets)]
+        self.verdicts: dict[int, tuple[bool, frozenset[int]]] = {}  # by diff
         # slot id -> child slot id, one list per branch, and the same as
         # translate tables while every id fits a byte
         self.child_slot: list[list[int]] = [[] for _ in range(d)]
@@ -169,7 +176,6 @@ class _Context:
             if sid == 256:
                 self.tables = None  # ids no longer fit a byte
             self.masks.append(mask)
-            self.counts.append(self._counts(mask))
         return sid
 
     def grow(self, top: int) -> None:
@@ -205,14 +211,22 @@ class _Context:
             mask ^= low
         return tables
 
-    def _fill(self, gamma: bytes | tuple[int, ...]) -> None:
-        """Fill the judge entries of the node's (slot index, id) pairs."""
-        top = len(self.masks)
-        for table, residues, sid in zip(self.judge, self.residues, gamma):
-            if len(table) < top:
-                table.extend([None] * (top - len(table)))
-            if table[sid] is None:
-                table[sid] = sum(map(getitem, self.counts[sid], residues))
+    def _fill_columns(self, gamma: bytes | tuple[int, ...]) -> None:
+        """Fill the judge entries of the node's contents that no judged
+        node held before, each content at every slot index at once."""
+        judge = self.judge
+        if len(judge[0]) < len(self.masks):
+            pad = [None] * (len(self.masks) - len(judge[0]))
+            for table in judge:
+                table.extend(pad)
+        for sid in set(gamma):
+            if judge[0][sid] is None:
+                tables = self._counts(self.masks[sid])
+                column = map(add, repeat(tables[0][0]), tables[1])
+                for table, residues in zip(tables[2:], self.residues):
+                    column = map(add, column, residues(table))
+                for table, entry in zip(judge, column):
+                    table[sid] = entry
 
     def root(self) -> bytes | tuple[int, ...]:
         """The root node, as bytes while the ids fit a byte."""
@@ -224,7 +238,8 @@ class _Context:
         """The node's d children, in branch order and of its type: one
         translate or one read of each child list.  Raises ``_WideNodes``
         if a child of a byte node holds an id past 255."""
-        self.grow(max(gamma))
+        if len(self.child_slot[0]) < len(self.masks):
+            self.grow(max(gamma))
         if type(gamma) is tuple:
             return list(map(itemgetter(*gamma), self.child_slot))
         if self.tables is None:
@@ -236,15 +251,16 @@ class _Context:
         at which last levels n - iota its restricted content would fail."""
         try:
             total = sum(map(getitem, self.judge, gamma))
-        except (IndexError, TypeError):  # an entry not yet filled
-            self._fill(gamma)
+        except (IndexError, TypeError):  # a content not yet judged
+            self._fill_columns(gamma)
             total = sum(map(getitem, self.judge, gamma))
         diff = total ^ self.passing
-        if not diff:
-            return True, frozenset()
-        mask = self.group_mask
-        return not diff & mask, frozenset(
-            iota for iota in range(1, self.m) if diff >> (iota * self.group) & mask)
+        verdict = self.verdicts.get(diff)
+        if verdict is None:
+            mask = self.group_mask
+            verdict = self.verdicts[diff] = (not diff & mask, frozenset(
+                iota for iota in range(1, self.m) if diff >> (iota * self.group) & mask))
+        return verdict
 
 
 # -- public node operations (set-of-frozensets view) ------------------------
@@ -344,11 +360,16 @@ class _Builder:
     Node content is judged once, in ``_new_node``: equal nodes root equal
     subtrees, so a node met again needs no second look.  Every judgement
     reaches ``_found`` as (start, period) progressions of ring sizes at
-    which the CA is irreversible; raising from it aborts construction.  A node failing the generic condition reports
-    ``(created_level + m, 1)`` before it is appended, so a fixed-size check
-    that stops there does not count it in M.  A node with bad last levels
-    reports ``(s + iota, p)`` for each bad iota and each claim (s, p) it
-    gains, its claims at creation included.
+    which the CA is irreversible; raising from it aborts construction.
+    A node failing the generic condition reports ``(created_level + m,
+    1)`` before it is appended, so a fixed-size check that stops there
+    does not count it in M.  A node with bad last levels reports
+    ``(s + iota, p)`` for each bad iota and each claim (s, p) it gains,
+    its claims at creation included.  The new children of one parent
+    start from one shared copy of the parent's claims shifted a level,
+    made again only when the parent's claims have grown, and children
+    with equal bad iotas at the same copy make one report between them,
+    since a repeat could neither stop a check nor add evidence.
 
     Two invariants make these reports complete:
 
@@ -384,10 +405,8 @@ class _Builder:
             self._found(((created_level + self.ctx.m, 1),))
         if uid >= _MAX_NODES:
             raise TreeSizeError(f"more than {_MAX_NODES} unique nodes")
-        node = _Node(gamma, levels, claims, bad_iotas, created_level)
-        self.nodes.append(node)
+        self.nodes.append(_Node(gamma, levels, claims, bad_iotas, created_level))
         self.index[gamma] = uid
-        self._claims_grew(node, claims)
         return uid
 
     def _claims_grew(self, nd: _Node, new) -> None:
@@ -475,6 +494,7 @@ class _Builder:
         self.nodes: list[_Node] = []
         self.index: dict[bytes | tuple[int, ...], int] = {}
         self._new_node(self.ctx.root(), {0}, {(0, 0)}, created_level=0)
+        self._claims_grew(self.nodes[0], self.nodes[0].claims)
         frontier = [0]
         i = 1
         while frontier and not self._done(i):
@@ -482,16 +502,26 @@ class _Builder:
             for p in frontier:
                 parent = self.nodes[p]
                 children = []
+                version = -1  # len(parent.claims) when ``shifted`` was made
                 for gamma in self.ctx.children(parent.gamma):
                     uid = self.index.get(gamma)
                     if uid is None:
-                        uid = self._new_node(
-                            gamma, {l + 1 for l in parent.levels},
-                            {(s + 1, p) for s, p in parent.claims}, created_level=i)
+                        if version != len(parent.claims):
+                            version = len(parent.claims)
+                            shifted = {(s + 1, p) for s, p in parent.claims}
+                            reported = set()  # bad iotas reported at ``shifted``
+                        uid = self._new_node(gamma, {l + 1 for l in parent.levels},
+                                             shifted.copy(), created_level=i)
+                        child = self.nodes[uid]
+                        if child.bad_iotas not in reported:
+                            reported.add(child.bad_iotas)
+                            self._claims_grew(child, shifted)
                         next_frontier.append(uid)
                     else:
+                        child = self.nodes[uid]
                         for l in sorted(parent.levels):
-                            self._record_occurrence(uid, l + 1)
+                            if l + 1 not in child.levels:
+                                self._record_occurrence(uid, l + 1)
                     children.append(uid)
                 parent.children = children
             frontier = next_frontier

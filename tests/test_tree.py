@@ -18,6 +18,7 @@ from ringca.tree import (Classification, IrrevExpression, ReversibilityCheck,
 
 from conftest import (PERMUTATION_RULES, brute_force_reversible,
                       pair_graph_bijective)
+from test_tree_tables import ROWS
 
 
 def sets(*groups):
@@ -238,7 +239,7 @@ class TestSlotTables:
                 children[b][k] for b in range(d)]
         for sid in set(gamma):
             mask = ctx.masks[sid]
-            tables = ctx.counts[sid]
+            tables = ctx._counts(mask)
             assert len(tables) == m
             for iota, packed in enumerate(tables):
                 step = d ** (m - iota) if iota else 1
@@ -531,6 +532,29 @@ class TestManyContents:
                 level = {kid for gamma in level for kid in ctx.children(gamma)}
         assert ctx.tables is None and type(ctx.root()) is tuple
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_columns_of_judged_contents_only(self, n):
+        # a content's judge column is filled, at every slot index, when a
+        # judged node first holds it, and never for a content only interned
+        builder = _FixedSizeBuilder(balanced_ten_state_rule(0), n)
+        ctx = builder.ctx
+        judged = []
+        verdict = ctx.verdict
+
+        def recording_verdict(gamma):
+            judged.append(gamma)
+            return verdict(gamma)
+
+        ctx.verdict = recording_verdict
+        with pytest.raises(_IrreversibleFound):
+            builder.build()
+        assert ctx.tables is None and type(judged[-1]) is tuple
+        contents = {sid for gamma in judged for sid in gamma}
+        for table in ctx.judge:
+            assert {sid for sid, entry in enumerate(table)
+                    if entry is not None} == contents
+        assert (len(contents), len(ctx.masks)) == (129, 332)
+
     def test_byte_tables_end_at_the_257th_content(self):
         ctx = _Context(Rule(3, 2, (0, 1, 2) * 3))
         assert ctx.root() == bytes([0, 1, 2])
@@ -694,6 +718,44 @@ class TestTailBound:
             assert bound == reference_tail_bound(builder.evidence), rule.string
             bounded += bound is not None
         assert bounded > 20
+
+
+class TestReportsComplete:
+    """Every claim of a node with bad last levels reaches the evidence,
+    shifted by each bad iota.  New siblings share their first claims, and
+    one report per set of bad iotas stands for all of them."""
+
+    @staticmethod
+    def unreported(rule):
+        builder = _ClassifyBuilder(rule)
+        builder.build()
+        missing = [(s + iota, p) for nd in builder.nodes for iota in nd.bad_iotas
+                   for s, p in nd.claims if (s + iota, p) not in builder.evidence]
+        return missing, sum(bool(nd.bad_iotas) for nd in builder.nodes)
+
+    def test_pinned_rows(self):
+        bad_nodes = 0
+        for d, text in sorted({(d, text) for d, _, text, *_ in ROWS}):
+            missing, bad = self.unreported(parse_rule(text, d, 3))
+            assert not missing, text
+            bad_nodes += bad
+        assert bad_nodes > 1000
+
+    def test_claims_grow_during_expansion(self):
+        # the root is its own second child, so its claims gain (0, 1)
+        # between its first and third children, both with bad iota 1: the
+        # third starts from other claims and needs a report of its own
+        missing, bad = self.unreported(parse_rule("100210221", 3, 2))
+        assert (missing, bad) == ([], 3)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_balanced_rules(self, data):
+        d, m = data.draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]),
+                         label="shape")
+        table = data.draw(st.permutations(
+            [v for v in range(d) for _ in range(d ** (m - 1))]), label="table")
+        assert self.unreported(Rule(d, m, tuple(table)))[0] == []
 
 
 # Reversible at n = 11 by a brute-force enumeration of the 3^11 rings and by
