@@ -57,13 +57,14 @@ def _window_shift(d: int, m: int) -> tuple[int, ...]:
     return tuple(r % wrap * d for r in range(d ** m))
 
 
-def stepper(rule: Rule) -> Callable[[tuple[int, ...] | bytes], tuple[int, ...] | bytes]:
-    """The synchronous update of ``rule`` under periodic boundary, as a
-    function that trusts its argument: a non-empty tuple of states in
-    0..d-1 (see ``ring_cells``), or the same states as ``bytes``.  The new
-    configuration has the type of the old one.  Callers that step one
-    configuration many times validate it once and call this;
-    ``next_configuration`` is the checked single step.
+def stepper(rule: Rule, n: int) -> Callable[[bytes], bytes]:
+    """The synchronous update of ``rule`` on rings of ``n`` cells under
+    periodic boundary, as a function from one configuration, as ``bytes``
+    of its states, to the next.  The function trusts its argument: ``n``
+    states in 0..d-1 (see ``ring_cells``), and it holds for that one ring
+    size, whose offsets and lengths it computes once.  Callers that step
+    rings of one size many times validate the start once and call this;
+    ``next_configuration`` is the checked single step on tuples.
 
     All three lookup routes read the ring through one wrap rule: the
     n + m - 1 cells from cell -lr mod n on, cut from enough copies of the
@@ -96,18 +97,19 @@ def stepper(rule: Rule) -> Callable[[tuple[int, ...] | bytes], tuple[int, ...] |
     cells: the first m - 1 form the window of cell -1 less its leftmost
     digit, and each next RMT is the last one less its incoming cell
     (``_window_shift``) plus the incoming cell."""
-    d, table, lr, m = rule.d, rule.table, rule.lr, rule.m
+    d, table, m = rule.d, rule.table, rule.m
     span = m - 1
+    first, size = -rule.lr % n, n + span  # where the cells read start, how many
+    copies, end = 2 - (1 - m) // n, first + size
     if d ** m <= 256:
         lookup = bytes(table).ljust(256, b"\0")
         weights = sum(d ** k << 8 * (span - k) for k in range(m))
+        length = size + span
 
-        def packed_step(cells: tuple[int, ...]) -> tuple[int, ...]:
-            n = len(cells)
-            first = -lr % n
-            ext = (bytes(cells) * (2 - (1 - m) // n))[first:first + n + span]
-            rmts = (int.from_bytes(ext, "big") * weights).to_bytes(n + 2 * span, "big")
-            return type(cells)(rmts[span:span + n].translate(lookup))
+        def packed_step(cells: bytes) -> bytes:
+            ext = (cells * copies)[first:end]
+            rmts = (int.from_bytes(ext, "big") * weights).to_bytes(length, "big")
+            return rmts[span:size].translate(lookup)
 
         return packed_step
 
@@ -118,47 +120,44 @@ def stepper(rule: Rule) -> Callable[[tuple[int, ...] | bytes], tuple[int, ...] |
         class_base = bytes(base_of[sibling_map] for sibling_map in maps).ljust(256, b"\0")
         lookup = bytes(v for sibling_map in base_of for v in sibling_map).ljust(256, b"\0")
         weights = sum(d ** k << 8 * (lead - k) for k in range(span))
+        length, last = size + lead, n + lead
 
-        def class_step(cells: tuple[int, ...]) -> tuple[int, ...]:
-            n = len(cells)
-            first = -lr % n
-            ext = (bytes(cells) * (2 - (1 - m) // n))[first:first + n + span]
-            wide = int.from_bytes(ext, "big")
-            sibs = (wide * weights).to_bytes(n + span + lead, "big")[lead:lead + n]
+        def class_step(cells: bytes) -> bytes:
+            wide = int.from_bytes((cells * copies)[first:end], "big")
+            sibs = (wide * weights).to_bytes(length, "big")[lead:last]
             bases = int.from_bytes(sibs.translate(class_base), "big")
-            entries = (bases + wide).to_bytes(n + span, "big")[span:]
-            return type(cells)(entries.translate(lookup))
+            return (bases + wide).to_bytes(size, "big")[span:].translate(lookup)
 
         return class_step
 
     shift = _window_shift(d, m)
 
-    def step(cells: tuple[int, ...]) -> tuple[int, ...]:
-        n = len(cells)
-        first = -lr % n
-        ext = (cells * (2 - (1 - m) // n))[first:first + n + span]
+    def step(cells: bytes) -> bytes:
+        ext = (cells * copies)[first:end]
         rmt = 0
         for c in ext[:span]:
             rmt = rmt * d + c
-        return type(cells)([table[rmt := shift[rmt] + c] for c in ext[span:]])
+        return bytes([table[rmt := shift[rmt] + c] for c in ext[span:]])
 
     return step
 
 
-_last_step: tuple[Rule, Callable] | None = None  # see next_configuration
+_last_step: tuple[tuple[Rule, int], Callable] | None = None  # see next_configuration
 
 
 def next_configuration(rule: Rule, config: Sequence[int] | str) -> tuple[int, ...]:
     """One synchronous update of ``config`` under periodic boundary.
 
-    The stepper of the last rule is kept, so that single steps of one
-    rule build its lookup tables once.
+    The stepper of the last rule and ring size is kept, so that single
+    steps of one rule on one ring size build its lookup tables once.
     """
     global _last_step
+    cells = ring_cells(config, rule.d)
+    key = rule, len(cells)
     memo = _last_step
-    if memo is None or memo[0] != rule:
-        memo = _last_step = rule, stepper(rule)
-    return memo[1](ring_cells(config, rule.d))
+    if memo is None or memo[0] != key:
+        memo = _last_step = key, stepper(*key)
+    return tuple(memo[1](bytes(cells)))
 
 
 def rmt_sequence(rule: Rule, config: Sequence[int] | str) -> tuple[int, ...]:

@@ -33,12 +33,12 @@ def trajectory(rule: Rule, start: Sequence[int] | str, steps: int) -> Iterator[C
     """Yield x, G(x), ..., G^steps(x) under periodic boundary, one at a time."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    cells = ring_cells(start, rule.d)
-    step = stepper(rule)
-    yield cells
+    cells = bytes(ring_cells(start, rule.d))
+    step = stepper(rule, len(cells))
+    yield tuple(cells)
     for _ in range(steps):
         cells = step(cells)
-        yield cells
+        yield tuple(cells)
 
 
 def evolve(rule: Rule, start: Sequence[int] | str, steps: int) -> list[Configuration]:
@@ -83,9 +83,9 @@ def cycle_length(rule: Rule, start: Sequence[int] | str, max_steps: int) -> Cycl
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    step = stepper(rule)
     start = bytes(ring_cells(start, rule.d))
     n = len(start)
+    step = stepper(rule, n)
     # two copies of the start, a byte no cell takes, two of the tortoise:
     # the hare found at k <= n is σ^k(start), found at 2n + 1 + k σ^k(tortoise)
     home = start + start + bytes([rule.d])

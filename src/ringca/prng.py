@@ -16,7 +16,9 @@ any output is produced.  Three schemes fix (w, n) and the output value:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import BinaryIO
 
 # next_configuration stays bound here: perfbench's traced run rebinds
@@ -40,12 +42,14 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 # limit it can be set to
 _INT_DIGITS = 640
 _INT_CHUNK = 10 ** _INT_DIGITS
+# outputs per block of a stream: each block is made by one ``outputs`` call
+# and written by one write, and a stream's memory grows with the block, not
+# with the stream; a multiple of 8, so that every full block fills whole bytes
+_BLOCK = 256
 
 
 def _window_value(digits: bytes, d: int) -> int:
     """The base-d value of an ASCII digit string, in chunks int() accepts."""
-    if len(digits) <= _INT_DIGITS:
-        return int(digits, d)
     value = 0
     for at in range(0, len(digits), _INT_DIGITS):
         chunk = digits[at:at + _INT_DIGITS]
@@ -81,7 +85,9 @@ class Generator:
         self.n = n
         self.modulus = modulus
         self.cells: bytes | None = None
-        self._step = stepper(rule)  # seed validates the cells it trusts
+        self._step = stepper(rule, n)  # seed validates the cells it trusts
+        # the window's base-d value from its ASCII digits: int(digits, d)
+        self._convert = int if width <= _INT_DIGITS else _window_value
         raw_bits = width * math.log2(rule.d)
         if modulus is not None:
             self.bits_per_output = modulus.bit_length() - 1
@@ -99,15 +105,27 @@ class Generator:
             cells = self._step(cells)
         self.cells = cells
 
-    def next(self) -> int:
-        """Advance one step and read the window."""
+    def outputs(self, count: int) -> list[int]:
+        """Advance ``count`` steps, reading the window after each: the
+        next ``count`` outputs."""
         if self.cells is None:
             raise GeneratorStateError("generator has not been seeded")
-        self.cells = self._step(self.cells)
-        value = _window_value(self.cells[:self.width].translate(_DIGITS), self.rule.d)
+        step, width, cells = self._step, self.width, self.cells
+        windows = []
+        keep = windows.append
+        for _ in range(count):
+            cells = step(cells)
+            keep(cells[:width])
+        self.cells = cells
+        digits = map(bytes.translate, windows, repeat(_DIGITS))
+        values = map(self._convert, digits, repeat(self.rule.d))
         if self.modulus is not None:
-            value %= self.modulus
-        return value
+            values = map(operator.mod, values, repeat(self.modulus))
+        return list(values)
+
+    def next(self) -> int:
+        """Advance one step and read the window."""
+        return self.outputs(1)[0]
 
 
 def tri_window(rule: Rule, width: int = 20) -> Generator:
@@ -157,25 +175,30 @@ class StreamSpec:
 
 
 def emit_stream(gen: Generator, spec: StreamSpec, out: BinaryIO) -> int:
-    """Write ``spec.count`` outputs to ``out``; returns bytes written."""
+    """Write ``spec.count`` outputs to ``out``; returns bytes written.
+
+    Outputs are asked for and written in blocks of at most ``_BLOCK``, one
+    write a block; a block with an output too wide is not written.  A full
+    block ends on a byte boundary, since ``_BLOCK`` is a multiple of 8, so
+    only the last block is zero-padded.  Outputs of whole bytes are joined
+    as bytes; others are packed into one integer."""
     bits = spec.bits_per_output
     limit = 1 << bits
-    buffer = 0
-    buffered = 0  # bits in ``buffer``, always fewer than 8 between outputs
     written = 0
-    for _ in range(spec.count):
-        value = gen.next()
-        if value >= limit:
+    for left in range(spec.count, 0, -_BLOCK):
+        values = gen.outputs(min(left, _BLOCK))
+        if max(values) >= limit:
+            value = next(v for v in values if v >= limit)
             raise ValueError(
                 f"output {value} does not fit in {bits} bits")
-        buffer = (buffer << bits) | value
-        buffered += bits
-        whole, buffered = divmod(buffered, 8)
-        if whole:
-            out.write((buffer >> buffered).to_bytes(whole, "big"))
-            buffer &= (1 << buffered) - 1
-            written += whole
-    if buffered:
-        out.write((buffer << (8 - buffered)).to_bytes(1, "big"))
-        written += 1
+        if bits % 8:
+            packed = 0
+            for value in values:
+                packed = (packed << bits) | value
+            pad = -len(values) * bits % 8
+            block = (packed << pad).to_bytes((len(values) * bits + pad) // 8, "big")
+        else:
+            block = b"".join(map(int.to_bytes, values, repeat(bits // 8), repeat("big")))
+        out.write(block)
+        written += len(block)
     return written

@@ -84,22 +84,27 @@ class TestNextConfiguration:
         built = []
         ca_stepper = debruijn.stepper
 
-        def counted_stepper(rule):
-            built.append(rule)
-            return ca_stepper(rule)
+        def counted_stepper(rule, n):
+            built.append((rule, n))
+            return ca_stepper(rule, n)
 
         monkeypatch.setattr(debruijn, "stepper", counted_stepper)
         monkeypatch.setattr(debruijn, "_last_step", None)
         rule = rule_from_permutation("8135940672")
-        expected = ca_stepper(rule)((0, 1, 2, 3, 4))
+        expected = tuple(ca_stepper(rule, 5)(bytes((0, 1, 2, 3, 4))))
         assert next_configuration(rule, "01234") == expected
         assert next_configuration(rule, (0, 1, 2, 3, 4)) == expected
-        assert built == [rule]
+        assert built == [(rule, 5)]
         # one entry: another rule replaces it, and an equal rule hits it
         assert next_configuration(eca(90), "00100") == (0, 1, 0, 1, 0)
         assert next_configuration(eca(90), "00100") == (0, 1, 0, 1, 0)
         assert next_configuration(rule_from_permutation("8135940672"), "01234") == expected
-        assert built == [rule, eca(90), rule]
+        assert built == [(rule, 5), (eca(90), 5), (rule, 5)]
+        # the same rule on another ring size builds one more stepper
+        wider = tuple(ca_stepper(rule, 6)(bytes((0, 1, 2, 3, 4, 5))))
+        assert next_configuration(rule, "012345") == wider
+        assert next_configuration(rule, "012345") == wider
+        assert built == [(rule, 5), (eca(90), 5), (rule, 5), (rule, 6)]
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -118,7 +123,7 @@ class TestNextConfiguration:
         expected = all_windows_step(rule, cells)
         assert next_configuration(rule, cells) == expected
         # the same step on the byte form of the configuration
-        assert stepper(rule)(bytes(cells)) == bytes(expected)
+        assert stepper(rule, n)(bytes(cells)) == bytes(expected)
 
     @pytest.mark.parametrize("n", [997, 1000])
     @pytest.mark.parametrize("lr", [0, 1, 2])
@@ -128,7 +133,7 @@ class TestNextConfiguration:
         cells = tuple(rng.randrange(3) for _ in range(n))
         expected = all_windows_step(rule, cells)
         assert next_configuration(rule, cells) == expected
-        assert stepper(rule)(bytes(cells)) == bytes(expected)
+        assert stepper(rule, n)(bytes(cells)) == bytes(expected)
 
     @pytest.mark.parametrize("cells", [(0, 3, 0), (0, -1, 0), (2,)])
     def test_rmt_sequence_rejects_bad_state(self, cells):
@@ -184,11 +189,11 @@ class TestClassRoute:
         rule = Rule(d, m, few_class_table(rng, d, m, k), lr=data.draw(st.integers(0, m - 1)))
         n = data.draw(st.integers(1, 12))
         cells = tuple(rng.randrange(d) for _ in range(n))
-        step = stepper(rule)
+        step = stepper(rule, n)
         assert step.__name__ == "class_step"
         expected = all_windows_step(rule, cells)
-        assert step(cells) == expected
         assert step(bytes(cells)) == bytes(expected)
+        assert next_configuration(rule, cells) == expected
 
     @pytest.mark.parametrize("d, m, k, route", [
         *[(d, m, largest_fitting_class_count(d, m), "class_step")
@@ -204,30 +209,30 @@ class TestClassRoute:
         table = few_class_table(rng, d, m, k)
         for lr in range(m):
             rule = Rule(d, m, table, lr=lr)
-            step = stepper(rule)
-            assert step.__name__ == route
             for n in [*range(1, 13), 997, 1000]:
+                step = stepper(rule, n)
+                assert step.__name__ == route, (lr, n)
                 cells = tuple(rng.randrange(d) for _ in range(n))
                 expected = all_windows_step(rule, cells)
-                assert step(cells) == expected, (lr, n)
                 assert step(bytes(cells)) == bytes(expected), (lr, n)
+                assert next_configuration(rule, cells) == expected, (lr, n)
 
     @pytest.mark.parametrize("perm", PERMUTATION_RULES)
     def test_permutation_rules(self, perm):
         # every permutation-form rule has K = 10 sibling maps
         rule = rule_from_permutation(perm)
-        step = stepper(rule)
-        assert step.__name__ == "class_step"
         rng = random.Random(perm)
         for n in range(1, 211):
+            step = stepper(rule, n)
+            assert step.__name__ == "class_step", n
             cells = tuple(rng.randrange(10) for _ in range(n))
             expected = all_windows_step(rule, cells)
-            assert step(cells) == expected, n
             assert step(bytes(cells)) == bytes(expected), n
+            assert next_configuration(rule, cells) == expected, n
 
     def test_decimal_synthesis_rule_walks(self):
         rule = synthesize_decimal(1, seed=3)[0]
-        assert stepper(rule).__name__ == "step"
+        assert all(stepper(rule, n).__name__ == "step" for n in (1, 2, 101))
 
 
 class TestPrimaryRmtSets:

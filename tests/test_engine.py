@@ -108,8 +108,8 @@ class TestCycleLength:
         calls = 0
         ca_step = engine.stepper
 
-        def counted_stepper(rule):
-            step = ca_step(rule)
+        def counted_stepper(rule, n):
+            step = ca_step(rule, n)
 
             def counted(cells):
                 nonlocal calls

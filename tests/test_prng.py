@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,35 @@ class TestOutputs:
                 expected %= gen.modulus
             assert gen.next() == expected
 
+    @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("scheme", ["tri", "dec", "bin1", "bin2", "wide"])
+    def test_outputs_equal_calls_of_next(self, tri_rule, dec_rule, scheme, count):
+        """``outputs(count)`` gives what ``count`` calls of ``next`` give
+        and leaves the ring where they leave it.  ``wide`` reads windows of
+        700 digits, which convert only in chunks under the lowest limit the
+        interpreter can set on string conversions."""
+        def seeded():
+            gen, seed = {
+                "tri": (tri_window(tri_rule, 20), "01201201201201201201"),
+                "dec": (decimal_digits(dec_rule, 12), "314159265358"),
+                "bin1": (binary_blocks(dec_rule, 1), "27182818284590"),
+                "bin2": (binary_blocks(dec_rule, 2), "2718281828459045235360287471"),
+                "wide": (Generator(dec_rule, "dec", 700, 703),
+                         "".join(str(i * i % 10) for i in range(700))),
+            }[scheme]
+            gen.seed(seed)
+            return gen
+
+        block, single = seeded(), seeded()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert block.outputs(count) == [single.next() for _ in range(count)]
+            assert block.cells == single.cells
+            assert block.outputs(2) == [single.next(), single.next()]
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_window_wider_than_int_digit_limit(self, tri_rule):
         """4400 trits: more digits than int() converts by default on 3.11."""
         width, n = 4400, 4401
@@ -173,6 +203,9 @@ class StubGenerator:
     def next(self):
         return next(self.values)
 
+    def outputs(self, count):
+        return [next(self.values) for _ in range(count)]
+
 
 def packed_by_bit_string(values, bits):
     """Reference packing: MSB-first bit strings, zero-padded to a byte."""
@@ -219,6 +252,42 @@ class TestStream:
         written = emit_stream(StubGenerator(values), StreamSpec(bits, len(values)), buf)
         assert buf.getvalue() == packed_by_bit_string(values, bits)
         assert written == len(buf.getvalue()) == StreamSpec(bits, len(values)).byte_length
+
+    @pytest.mark.parametrize("bits", [13, 32])
+    def test_blocks_pack_like_bit_strings(self, dec_rule, bits):
+        """601 outputs span three blocks; at 13 bits the last one ends
+        within a byte."""
+        def seeded():
+            gen = Generator(dec_rule, "bin", 14, 101, modulus=1 << bits)
+            gen.seed("27182818284590")
+            return gen
+
+        gen = seeded()
+        values = [gen.next() for _ in range(601)]
+        buf = io.BytesIO()
+        written = emit_stream(seeded(), StreamSpec(bits, 601), buf)
+        assert buf.getvalue() == packed_by_bit_string(values, bits)
+        assert written == len(buf.getvalue())
+
+    def test_stream_memory_bounded(self, dec_rule):
+        """4 MiB of ``bin`` output into a sink that drops it: outputs are
+        made and written a block at a time, so the traced peak stays under
+        a bound that does not depend on the count."""
+        class Sink:
+            def write(self, data):
+                return len(data)
+
+        gen = binary_blocks(dec_rule, 2)
+        gen.seed("0" * 28)
+        spec = StreamSpec(64, 4 * 2 ** 20 // 8)
+        tracemalloc.start()
+        try:
+            written = emit_stream(gen, spec, Sink())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert written == 4 * 2 ** 20
+        assert peak < 512 * 1024, f"peak {peak} bytes"
 
     def test_empty_stream(self, dec_rule):
         gen = binary_blocks(dec_rule, 1)

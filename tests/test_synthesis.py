@@ -381,12 +381,12 @@ def bad_short_ring(rule: Rule, max_len: int):
     ring walks a closed de Bruijn walk through at least two windows, so it
     holds an elementary cycle of length 2..max_len that ``verify_rule``
     rejects, and every such cycle spells such a ring."""
-    step = stepper(rule)
     for n in range(2, max_len + 1):
+        step = stepper(rule, n)
         for cells in itertools.product(range(rule.d), repeat=n):
             if len(set(cells)) > 1:
-                image = step(cells)
-                if image == cells or len(set(image)) == 1:
+                image = step(bytes(cells))
+                if image == bytes(cells) or len(set(image)) == 1:
                     return cells
     return None
 
