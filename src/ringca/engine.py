@@ -56,6 +56,22 @@ class CycleResult:
     steps_used: int
 
 
+def _squared(rule: Rule) -> Rule:
+    """The local rule of G², G the global map of ``rule``: its RMT holds
+    the 2m - 1 cells from 2 lr left of a cell to 2 rr right of it, whose
+    m windows of m cells are the RMTs of the m cells of G(x) that the
+    cell of G(G(x)) reads."""
+    d, m, table = rule.d, rule.m, rule.table
+    wide = d ** m
+    squared = []
+    for r in range(d ** (2 * m - 1)):
+        mid = 0
+        for k in range(m - 1, -1, -1):
+            mid = mid * d + table[r // d ** k % wide]
+        squared.append(table[mid])
+    return Rule(d, 2 * m - 1, tuple(squared), lr=2 * rule.lr)
+
+
 def cycle_length(rule: Rule, start: Sequence[int] | str, max_steps: int) -> CycleResult:
     """Evolve until a configuration repeats, or the step budget runs out.
 
@@ -72,59 +88,99 @@ def cycle_length(rule: Rule, start: Sequence[int] | str, max_steps: int) -> Cycl
     that is reversible at that size) costs t' steps, not its cycle length.
 
     No table of configurations or of their rotations is kept: memory is
-    O(n), and O(1) in the step count.  After each step one substring
-    search looks the configuration up among the rotations of the start
-    and of a tortoise parked at steps 1, 2, 4, ... (Brent 1980).  That
-    finds the class cycle of an orbit with a tail within 3(tail + t')
-    steps; locating the tail then takes t' + 2 tail steps more, about
-    5(tail + t') in all.  A truncated search may step up to 3 max_steps
-    times.  Each call logs one DEBUG record on the ``ringca.engine``
-    logger: the steps taken, t', j, p and the tail.
+    O(n), and O(1) in the step count.  After each move of the hare one
+    substring search looks it up among the rotations of the start and of
+    a tortoise parked at moves 1, 2, 4, ... (Brent 1980).  When G² fits a
+    byte table, d^(2m-1) <= 256 (``_squared``), a move is two steps in one
+    ``stepper`` call, and the targets are G(y) and then y for both y: the
+    offsets from hare to target still meet the class cycle t' first at t'
+    itself, and under the identity rule at 1, not 2.  A stride of 3 would
+    not: with a class tail of 2 only one of the start's three targets is
+    on the cycle, its offsets are 1, 4, 7, ..., and a class cycle of 5 is
+    first met at 10.
+
+    The class cycle is found within 3(tail + t') steps.  A match on the
+    start means tail 0, one on G(start) tail 0 or 1, told apart by one
+    step; otherwise the tail takes t' + 2 tail steps more, about
+    5(tail + t') in all.  A search that runs out takes 3 max_steps steps.
+    At stride 2 these are halved in calls, plus a step per tortoise park:
+    the README's n = 13 orbit of 1,073,397 configurations takes
+    41,303 calls for its 82,569-step class cycle.  Each call logs one
+    DEBUG record on the ``ringca.engine`` logger: the steps taken, t', j,
+    p and the tail.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     start = bytes(ring_cells(start, rule.d))
     n = len(start)
     step = stepper(rule, n)
-    # two copies of the start, a byte no cell takes, two of the tortoise:
-    # the hare found at k <= n is σ^k(start), found at 2n + 1 + k σ^k(tortoise)
-    home = start + start + bytes([rule.d])
-    rotations = home + start + start
-    hare = tortoise = start
-    parked, park = 0, 1  # the tortoise's step, the step it moves on to
-    for taken in range(1, 3 * max_steps + 1):
-        hare = step(hare)
+    stride = 2 if rule.d ** (2 * rule.m - 1) <= 256 else 1
+    leap = stepper(_squared(rule), n) if stride == 2 else step
+    sep, slot = bytes([rule.d]), 2 * n + 1
+
+    def targets(y: bytes) -> bytes:
+        # y twice and then a byte no cell takes, after G(y) the same way at
+        # stride 2: the hare found k <= n bytes into a slot is σ^k of its copy
+        copies = y + y + sep
+        if stride == 2:
+            ahead = step(y)
+            copies = ahead + ahead + sep + copies
+        return copies
+
+    rotations = home = targets(start)
+    hare, parked, park = start, 0, 1  # the tortoise's move, the move it moves on to
+    taken = stride - 1  # steps, besides the hare's
+    for moves in range(1, -(-3 * max_steps // stride) + 1):
+        previous, hare = hare, leap(hare)
         k = rotations.find(hare)
         if k >= 0:
             break
-        if taken == park:
-            tortoise, parked, park = hare, taken, 2 * taken
-            rotations = home + hare + hare
-    # a loop that runs out leaves k == -1: no class repeats in 3 max_steps steps
+        if moves == park:
+            parked, park = moves, 2 * moves
+            rotations = home + targets(hare)
+            taken += stride - 1
+    taken += stride * moves
+    # a loop that runs out leaves k == -1: no class repeats within its budget
     classes = j = p = cycle = tail = None
-    if k > n:
-        # the hare is one class lap ahead: (parked, park] is too short for two
-        classes, j, cyclic = taken - parked, k - 2 * n - 1, tortoise
-    elif k >= 0:
-        classes, j, cyclic, tail = taken, k, start, 0
-    if classes is not None:
+    if k >= 0:
+        at, j = divmod(k, slot)
+        lap, copy = divmod(at, stride)  # the tortoise's slots follow the start's
+        classes = stride * (moves - lap * parked) - (stride - 1 - copy)
+        cyclic = rotations[at * slot:at * slot + n]
         p = (cyclic + cyclic).find(cyclic, 1)
         cycle = classes * p // gcd(p, j)
+        if at == stride - 1:
+            tail = 0
+        elif not lap:
+            # G(start) is on the cycle, and so is the start iff G^classes
+            # of it, one step past the last hare, is σ^j of it
+            tail = int(step(previous) != start[j:] + start[:j])
+            taken += 1
+    # a tortoise's match means a tail: with tail 0 the start's targets
+    # meet every offset first, so a cycle of max_steps leaves no room
     if tail is None and cycle is not None and cycle < max_steps:
         # the tail is the first step at which two walkers a class cycle
         # apart are rotations by j of each other; G commutes with σ, so
         # the leading walker is rotated back by j once, before they walk
         ahead = start
-        for _ in range(classes):
+        for _ in range(classes // stride):
+            ahead = leap(ahead)
+        for _ in range(classes % stride):
             ahead = step(ahead)
         ahead = ahead[n - j:] + ahead[:n - j]
         behind, walked = start, 0
         while behind != ahead and walked + cycle < max_steps:
-            behind, ahead = step(behind), step(ahead)
-            walked += 1
+            was = behind, ahead
+            behind, ahead = leap(behind), leap(ahead)
+            walked += stride
         taken += classes + 2 * walked
         if behind == ahead:
             tail = walked
+            if walked and stride == 2:
+                # the walkers may have met one step into their last leap
+                taken += 2
+                if step(was[0]) == step(was[1]):
+                    tail -= 1
     # imported here, as in synthesis: ringca.cli starts without logging
     import logging
     logging.getLogger(__name__).debug(
@@ -159,8 +215,7 @@ def spacetime_raster(
         palette = default_palette(rule.d)
     if len(palette) != rule.d:
         raise ValueError(f"palette must supply {rule.d} colors")
-    body = bytearray()
-    for row in trajectory(rule, start, steps):
-        for cell in row:
-            body.extend(palette[cell])
-    return b"P6\n%d %d\n255\n" % (len(row), steps + 1) + bytes(body)
+    colours = [bytes(colour) for colour in palette]
+    rows = [b"".join(map(colours.__getitem__, row))
+            for row in trajectory(rule, start, steps)]
+    return b"P6\n%d %d\n255\n" % (len(rows[0]) // 3, steps + 1) + b"".join(rows)

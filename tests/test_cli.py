@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import pytest
 import ringca
 from ringca import debruijn, prng, synthesis
 from ringca.cli import run
+from ringca.engine import evolve
 from ringca.rules import Rule, parse_rule, self_replicating_rmts
 from ringca.tree import ReversibilityReport
 
@@ -299,6 +301,22 @@ class TestEvolveAndCycle:
                        "4064941348007\n2372177817366\n4333929074068\n"
                        "1065872762338\n")
 
+    @pytest.mark.parametrize("rule_args, d", [
+        (("--d", "2", "--m", "3", "--rule", "01101110"), 2),
+        (("--d", "3", "--m", "3", "--rule", FLOW_RULE), 3),
+        (("--perm", "8135940672"), 10),
+    ])
+    def test_evolve_rows_match_per_cell(self, capsys, rule_args, d):
+        rng = random.Random(d)
+        start = "".join(str(rng.randrange(d)) for _ in range(17))
+        code, out, _ = invoke(capsys, "evolve", *rule_args, "--start", start,
+                              "--steps", "9")
+        rule = (synthesis.rule_from_permutation(rule_args[1]) if d == 10
+                else parse_rule(rule_args[-1], d, 3))
+        rows = evolve(rule, start, 9)
+        assert code == 0
+        assert out == "".join("".join(str(c) for c in row) + "\n" for row in rows)
+
     @pytest.mark.parametrize("max_steps, line", [
         ("100", "cycle length 25, tail 4"),
         ("29", "cycle length 25, tail 4"),
@@ -325,7 +343,7 @@ class TestEvolveAndCycle:
         assert code == 0 and err == ""
         code, out, err = invoke(capsys, *argv, "--stats")
         assert code == 0 and out == plain
-        assert err == ("cycle_length(n=10, max_steps=10000000): 26 steps, "
+        assert err == ("cycle_length(n=10, max_steps=10000000): 33 steps, "
                        "class cycle 5, rotation 8, rotation period 10, tail 4\n")
         # the handler is gone again
         assert invoke(capsys, *argv)[2] == ""
@@ -377,6 +395,21 @@ class TestFiles:
         code, out, _ = invoke(capsys, *argv, "--out", str(out_file))
         assert code == 0 and out == ""
         assert out_file.read_text() == expected
+
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("scheme", ["bin", "tri"])
+    def test_prng_decimal_lines_in_blocks(self, capsys, scheme, count):
+        if scheme == "bin":
+            rule_args = ("--perm", "8135940672")
+            gen = prng.binary_blocks(synthesis.rule_from_permutation("8135940672"))
+        else:
+            rule_args = ("--d", "3", "--m", "3", "--rule", FLOW_RULE)
+            gen = prng.tri_window(parse_rule(FLOW_RULE, 3, 3))
+        code, out, _ = invoke(capsys, "prng", "--scheme", scheme, *rule_args,
+                              "--count", str(count), "--format", "decimal-lines")
+        gen.seed("0" * gen.width)
+        assert code == 0
+        assert out == "".join(f"{prng.decimal_text(gen.next())}\n" for _ in range(count))
 
     def test_prng_decimal_lines_beyond_int_digit_limit(self):
         # a 9,100-trit window reads up to 3^9100 - 1, 4,342 digits, past

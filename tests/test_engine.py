@@ -3,10 +3,10 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ringca import engine
-from ringca.debruijn import as_cells, next_configuration
+from ringca.debruijn import as_cells, next_configuration, stepper
 from ringca.engine import (CycleResult, cycle_length, default_palette, evolve,
                            spacetime_raster)
 from ringca.rules import Rule, eca, parse_rule
@@ -61,34 +61,61 @@ def _reference_cycle_length(rule, start, max_steps):
                        truncated=True, steps_used=max_steps)
 
 
+@st.composite
+def _orbit_starts(draw):
+    """A random rule, with d^(2m-1) on either side of 256, and a start."""
+    d = draw(st.integers(2, 4))
+    m = draw(st.integers(2, 4 if d == 2 else 3))
+    table = tuple(draw(st.lists(st.integers(0, d - 1),
+                                min_size=d ** m, max_size=d ** m)))
+    rule = Rule(d, m, table, lr=draw(st.integers(0, m - 1)))
+    n = draw(st.integers(1, 12 if d == 2 else 9))
+    # half the starts repeat a block of q | n cells: their rotation
+    # period divides q, and so does that of every configuration after them
+    block = n
+    if draw(st.booleans()):
+        block = draw(st.sampled_from([q for q in range(1, n + 1) if n % q == 0]))
+    return rule, tuple(draw(st.lists(st.integers(0, d - 1),
+                                     min_size=block, max_size=block))) * (n // block)
+
+
 class TestCycleLength:
     def test_rejects_empty_ring(self):
         with pytest.raises(ValueError, match="at least one cell"):
             cycle_length(eca(90), "", 5)
 
-    @given(st.data())
+    @given(_orbit_starts(), st.integers(1, 10 ** 9))
+    # the identity: G²(x) is a rotation of both G(x) and x
+    @example((Rule(3, 3, tuple(r // 3 % 3 for r in range(27))), (0, 1, 2, 0)), 1)
+    # tail 1 and class cycle 5, met through G(start)
+    @example((eca(30), (0,) * 7 + (1,)), 1)
+    # tail 0, class cycle 3 and cycle 9, met through G(start); the
+    # budgets tried include max_steps == cycle
+    @example((eca(9), (0,) * 5 + (1,)), 1)
     @settings(max_examples=300, deadline=None)
-    def test_matches_reference(self, data):
-        d = data.draw(st.integers(2, 4))
-        m = data.draw(st.integers(2, 3))
-        table = tuple(data.draw(st.lists(st.integers(0, d - 1),
-                                         min_size=d ** m, max_size=d ** m)))
-        rule = Rule(d, m, table, lr=data.draw(st.integers(0, m - 1)))
-        n = data.draw(st.integers(1, 12 if d == 2 else 9))
-        # half the starts repeat a block of q | n cells: their rotation
-        # period divides q, and so does that of every configuration after them
-        block = n
-        if data.draw(st.booleans()):
-            block = data.draw(st.sampled_from([q for q in range(1, n + 1) if n % q == 0]))
-        start = tuple(data.draw(st.lists(st.integers(0, d - 1),
-                                         min_size=block, max_size=block))) * (n // block)
-        full = _reference_cycle_length(rule, start, d ** n + 1)
+    def test_matches_reference(self, orbit, budget):
+        rule, start = orbit
+        full = _reference_cycle_length(rule, start, rule.d ** len(start) + 1)
         first_repeat = full.steps_used
         budgets = {first_repeat - 1, first_repeat, first_repeat + 1,
-                   data.draw(st.integers(1, 2 * first_repeat + 2))}
+                   budget % (2 * first_repeat + 2) + 1}
         for max_steps in sorted(b for b in budgets if b >= 1):
             assert (cycle_length(rule, start, max_steps)
                     == _reference_cycle_length(rule, start, max_steps)), max_steps
+
+    @pytest.mark.parametrize("d, m", [(d, m) for d in range(2, 7) for m in range(2, 5)
+                                      if d ** (2 * m - 1) <= 256])
+    def test_squared_is_two_steps(self, d, m):
+        rng = random.Random(10 * d + m)
+        for lr in range(m):
+            rule = Rule(d, m, tuple(rng.randrange(d) for _ in range(d ** m)), lr=lr)
+            squared = engine._squared(rule)
+            assert (squared.m, squared.lr, squared.rr) == (2 * m - 1, 2 * lr, 2 * rule.rr)
+            for n in range(1, 13):
+                step, leap = stepper(rule, n), stepper(squared, n)
+                for _ in range(4):
+                    cells = bytes(rng.randrange(d) for _ in range(n))
+                    assert leap(cells) == step(step(cells)), (rule, cells)
 
     def test_memory_bounded_in_steps(self):
         # the criterion-8 orbit at n = 11: 121,275 steps, tail 0
@@ -104,7 +131,8 @@ class TestCycleLength:
 
     def test_steps_by_rotation_class(self, monkeypatch):
         # the n = 13 criterion-8 orbit is 13 laps of its class cycle: the
-        # search steps through one lap, not through 1,073,397 configurations
+        # search steps through one lap, not through 1,073,397 configurations,
+        # and takes two steps a call
         calls = 0
         ca_step = engine.stepper
 
@@ -121,7 +149,7 @@ class TestCycleLength:
         result = cycle_length(parse_rule(FLOW_RULE, 3, 3), "0" * 12 + "1", 1_073_407)
         assert result == CycleResult(cycle_length=1_073_397, tail_length=0,
                                      truncated=False, steps_used=1_073_397)
-        assert calls < 1_073_397 // 13 + 100
+        assert calls < 1_073_397 // 26 + 100
 
     def test_memory_linear_in_ring_size(self):
         # a table of the rotations of a 50,000-cell ring would take 2.5 GB
@@ -139,13 +167,13 @@ class TestCycleLength:
 
     @pytest.mark.parametrize("digits, d, start, max_steps, message", [
         (FLOW_RULE, 3, "0" * 12 + "1", 1_073_407,
-         "cycle_length(n=13, max_steps=1073407): 82569 steps, class cycle 82569, "
+         "cycle_length(n=13, max_steps=1073407): 82588 steps, class cycle 82569, "
          "rotation 8, rotation period 13, tail 0"),
         ("01101110", 2, "0000000001", 100,  # ECA 110: cycle 25 = 5 · 10/gcd(10, 8)
-         "cycle_length(n=10, max_steps=100): 26 steps, class cycle 5, "
+         "cycle_length(n=10, max_steps=100): 33 steps, class cycle 5, "
          "rotation 8, rotation period 10, tail 4"),
         (FLOW_RULE, 3, "0000001", 10,
-         "cycle_length(n=7, max_steps=10): 30 steps, class cycle None, "
+         "cycle_length(n=7, max_steps=10): 35 steps, class cycle None, "
          "rotation None, rotation period None, tail None"),
     ])
     def test_debug_record(self, caplog, digits, d, start, max_steps, message):
@@ -253,6 +281,18 @@ class TestRaster:
     def test_palette_size_enforced(self):
         with pytest.raises(ValueError):
             spacetime_raster(eca(90), "010", 1, palette=[(0, 0, 0)])
+
+    @pytest.mark.parametrize("rule", [eca(110), parse_rule(FLOW_RULE, 3, 3),
+                                      rule_from_permutation("8135940672")])
+    def test_matches_per_cell_rendering(self, rule):
+        rng = random.Random(rule.d)
+        start = tuple(rng.randrange(rule.d) for _ in range(17))
+        palette = default_palette(rule.d)
+        body = bytearray()
+        for row in evolve(rule, start, 9):
+            for cell in row:
+                body.extend(palette[cell])
+        assert spacetime_raster(rule, start, 9) == b"P6\n17 10\n255\n" + body
 
     def test_time_runs_downward(self):
         data = spacetime_raster(eca(51), "01", 1)
