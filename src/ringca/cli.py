@@ -175,7 +175,7 @@ def _cmd_synthesize(args) -> int:
 def _cmd_evolve(args) -> int:
     rule = _load_rule(args)
     for cells in engine.trajectory(rule, args.start, args.steps):
-        print(bytes(cells).translate(prng._DIGITS).decode())
+        print(prng.digit_text(bytes(cells)))
     return 0
 
 
@@ -218,8 +218,7 @@ def _cmd_prng(args) -> int:
     if args.format == "decimal-lines":
         sink = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
         with sink as fh:
-            for left in range(args.count, 0, -prng._BLOCK):
-                values = gen.outputs(min(left, prng._BLOCK))
+            for values in prng.blocks(gen, args.count):
                 fh.write("\n".join(map(prng.decimal_text, values)) + "\n")
         return 0
     spec = prng.StreamSpec(bits_per_output=gen.bits_per_output, count=args.count)

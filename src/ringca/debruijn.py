@@ -57,6 +57,12 @@ def _window_shift(d: int, m: int) -> tuple[int, ...]:
     return tuple(r % wrap * d for r in range(d ** m))
 
 
+def packs(d: int, m: int) -> bool:
+    """Whether a rule of ``d`` states and ``m``-cell neighbourhoods takes
+    the packed route of ``stepper``: its RMTs fit in one byte."""
+    return d ** m <= 256
+
+
 def stepper(rule: Rule, n: int) -> Callable[[bytes], bytes]:
     """The synchronous update of ``rule`` on rings of ``n`` cells under
     periodic boundary, as a function from one configuration, as ``bytes``
@@ -101,7 +107,7 @@ def stepper(rule: Rule, n: int) -> Callable[[bytes], bytes]:
     span = m - 1
     first, size = -rule.lr % n, n + span  # where the cells read start, how many
     copies, end = 2 - (1 - m) // n, first + size
-    if d ** m <= 256:
+    if packs(d, m):
         lookup = bytes(table).ljust(256, b"\0")
         weights = sum(d ** k << 8 * (span - k) for k in range(m))
         length = size + span

@@ -8,7 +8,7 @@ from math import gcd
 
 # next_configuration stays bound here: perfbench's traced run rebinds
 # engine.next_configuration, so the name must exist in this module
-from .debruijn import next_configuration, ring_cells, stepper  # noqa: F401
+from .debruijn import next_configuration, packs, ring_cells, stepper  # noqa: F401
 from .rules import Rule
 
 Configuration = tuple[int, ...]
@@ -103,18 +103,19 @@ def cycle_length(rule: Rule, start: Sequence[int] | str, max_steps: int) -> Cycl
     start means tail 0, one on G(start) tail 0 or 1, told apart by one
     step; otherwise the tail takes t' + 2 tail steps more, about
     5(tail + t') in all.  A search that runs out takes 3 max_steps steps.
-    At stride 2 these are halved in calls, plus a step per tortoise park:
-    the README's n = 13 orbit of 1,073,397 configurations takes
-    41,303 calls for its 82,569-step class cycle.  Each call logs one
-    DEBUG record on the ``ringca.engine`` logger: the steps taken, t', j,
-    p and the tail.
+    At stride 2 the search for the class cycle takes half as many calls,
+    plus a step per tortoise park: the README's n = 13 orbit of 1,073,397
+    configurations takes 41,303 calls for its 82,569-step class cycle.
+    The tail is walked one step a call.  Each call logs one DEBUG record
+    on the ``ringca.engine`` logger: the steps taken, t', j, p and the
+    tail.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     start = bytes(ring_cells(start, rule.d))
     n = len(start)
     step = stepper(rule, n)
-    stride = 2 if rule.d ** (2 * rule.m - 1) <= 256 else 1
+    stride = 2 if packs(rule.d, 2 * rule.m - 1) else 1  # the m of _squared(rule)
     leap = stepper(_squared(rule), n) if stride == 2 else step
     sep, slot = bytes([rule.d]), 2 * n + 1
 
@@ -163,24 +164,16 @@ def cycle_length(rule: Rule, start: Sequence[int] | str, max_steps: int) -> Cycl
         # apart are rotations by j of each other; G commutes with σ, so
         # the leading walker is rotated back by j once, before they walk
         ahead = start
-        for _ in range(classes // stride):
-            ahead = leap(ahead)
-        for _ in range(classes % stride):
+        for _ in range(classes):
             ahead = step(ahead)
         ahead = ahead[n - j:] + ahead[:n - j]
         behind, walked = start, 0
         while behind != ahead and walked + cycle < max_steps:
-            was = behind, ahead
-            behind, ahead = leap(behind), leap(ahead)
-            walked += stride
+            behind, ahead = step(behind), step(ahead)
+            walked += 1
         taken += classes + 2 * walked
         if behind == ahead:
             tail = walked
-            if walked and stride == 2:
-                # the walkers may have met one step into their last leap
-                taken += 2
-                if step(was[0]) == step(was[1]):
-                    tail -= 1
     # imported here, as in synthesis: ringca.cli starts without logging
     import logging
     logging.getLogger(__name__).debug(

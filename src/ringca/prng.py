@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import repeat
 from typing import BinaryIO
@@ -55,6 +56,11 @@ def _window_value(digits: bytes, d: int) -> int:
         chunk = digits[at:at + _INT_DIGITS]
         value = value * d ** len(chunk) + int(chunk, d)
     return value
+
+
+def digit_text(cells: bytes) -> str:
+    """Cell states as a string of their ASCII digits."""
+    return cells.translate(_DIGITS).decode()
 
 
 def decimal_text(value: int) -> str:
@@ -174,6 +180,13 @@ class StreamSpec:
         return (self.count * self.bits_per_output + 7) // 8
 
 
+def blocks(gen: Generator, count: int) -> Iterator[list[int]]:
+    """The next ``count`` outputs of ``gen`` in lists of at most ``_BLOCK``,
+    one ``outputs`` call each."""
+    for left in range(count, 0, -_BLOCK):
+        yield gen.outputs(min(left, _BLOCK))
+
+
 def emit_stream(gen: Generator, spec: StreamSpec, out: BinaryIO) -> int:
     """Write ``spec.count`` outputs to ``out``; returns bytes written.
 
@@ -185,8 +198,7 @@ def emit_stream(gen: Generator, spec: StreamSpec, out: BinaryIO) -> int:
     bits = spec.bits_per_output
     limit = 1 << bits
     written = 0
-    for left in range(spec.count, 0, -_BLOCK):
-        values = gen.outputs(min(left, _BLOCK))
+    for values in blocks(gen, spec.count):
         if max(values) >= limit:
             value = next(v for v in values if v >= limit)
             raise ValueError(

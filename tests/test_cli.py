@@ -343,7 +343,7 @@ class TestEvolveAndCycle:
         assert code == 0 and err == ""
         code, out, err = invoke(capsys, *argv, "--stats")
         assert code == 0 and out == plain
-        assert err == ("cycle_length(n=10, max_steps=10000000): 33 steps, "
+        assert err == ("cycle_length(n=10, max_steps=10000000): 31 steps, "
                        "class cycle 5, rotation 8, rotation period 10, tail 4\n")
         # the handler is gone again
         assert invoke(capsys, *argv)[2] == ""

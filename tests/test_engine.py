@@ -170,7 +170,7 @@ class TestCycleLength:
          "cycle_length(n=13, max_steps=1073407): 82588 steps, class cycle 82569, "
          "rotation 8, rotation period 13, tail 0"),
         ("01101110", 2, "0000000001", 100,  # ECA 110: cycle 25 = 5 · 10/gcd(10, 8)
-         "cycle_length(n=10, max_steps=100): 33 steps, class cycle 5, "
+         "cycle_length(n=10, max_steps=100): 31 steps, class cycle 5, "
          "rotation 8, rotation period 10, tail 4"),
         (FLOW_RULE, 3, "0000001", 10,
          "cycle_length(n=7, max_steps=10): 35 steps, class cycle None, "
