@@ -175,7 +175,7 @@ def _cmd_synthesize(args) -> int:
 def _cmd_evolve(args) -> int:
     rule = _load_rule(args)
     for cells in engine.trajectory(rule, args.start, args.steps):
-        print(prng.digit_text(bytes(cells)))
+        print(prng.digit_text(cells))
     return 0
 
 

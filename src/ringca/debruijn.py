@@ -197,9 +197,6 @@ class PrimaryRmtSet:
     def cardinality(self) -> int:
         return len(self.rmts)
 
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.rmts)
-
     def pattern(self) -> tuple[int, ...]:
         """Repeating cell block of the homogeneous configuration."""
         rr = self.m - 1 - (self.m - 1) // 2
@@ -213,10 +210,6 @@ class DeBruijnGraph:
         self.d = d
         self.m = m
         self.num_nodes = d ** (m - 1)
-        self.num_edges = d ** m
-
-    def edge_ends(self, rmt: int) -> tuple[int, int]:
-        return rmt // self.d, rmt % self.num_nodes
 
     def _cyclic_core(self, rmts: Iterable[int]) -> dict[int, list[int]]:
         """The RMTs leaving each node of the subgraph with edge set ``rmts``

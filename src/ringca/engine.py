@@ -29,21 +29,22 @@ _PALETTE10 = (
 )
 
 
-def trajectory(rule: Rule, start: Sequence[int] | str, steps: int) -> Iterator[Configuration]:
-    """Yield x, G(x), ..., G^steps(x) under periodic boundary, one at a time."""
+def trajectory(rule: Rule, start: Sequence[int] | str, steps: int) -> Iterator[bytes]:
+    """Yield x, G(x), ..., G^steps(x) under periodic boundary, one at a
+    time, as ``bytes`` of the cell states."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     cells = bytes(ring_cells(start, rule.d))
     step = stepper(rule, len(cells))
-    yield tuple(cells)
+    yield cells
     for _ in range(steps):
         cells = step(cells)
-        yield tuple(cells)
+        yield cells
 
 
 def evolve(rule: Rule, start: Sequence[int] | str, steps: int) -> list[Configuration]:
     """Trajectory [x, G(x), ..., G^steps(x)] under periodic boundary."""
-    return list(trajectory(rule, start, steps))
+    return list(map(tuple, trajectory(rule, start, steps)))
 
 
 @dataclass(frozen=True)
@@ -88,50 +89,46 @@ def cycle_length(rule: Rule, start: Sequence[int] | str, max_steps: int) -> Cycl
     that is reversible at that size) costs t' steps, not its cycle length.
 
     No table of configurations or of their rotations is kept: memory is
-    O(n), and O(1) in the step count.  After each move of the hare one
-    substring search looks it up among the rotations of the start and of
-    a tortoise parked at moves 1, 2, 4, ... (Brent 1980).  When G² fits a
-    byte table, d^(2m-1) <= 256 (``_squared``), a move is two steps in one
-    ``stepper`` call, and the targets are G(y) and then y for both y: the
-    offsets from hare to target still meet the class cycle t' first at t'
-    itself, and under the identity rule at 1, not 2.  A stride of 3 would
-    not: with a class tail of 2 only one of the start's three targets is
-    on the cycle, its offsets are 1, 4, 7, ..., and a class cycle of 5 is
+    O(n), and O(1) in the step count.  Each move of the hare is two steps:
+    one ``stepper`` call of G² when it fits a byte table, d^(2m-1) <= 256
+    (``_squared``), two calls of G otherwise.  After each move one
+    substring search looks the hare up among G(y) and y, for y the start
+    and a tortoise parked at moves 1, 2, 4, ... (Brent 1980): the offsets
+    from hare to target meet the class cycle t' first at t' itself, and
+    under the identity rule at 1, not 2.  Moves of three steps would not:
+    with a class tail of 2 only one of the start's three targets is on
+    the cycle, its offsets are 1, 4, 7, ..., and a class cycle of 5 is
     first met at 10.
 
-    The class cycle is found within 3(tail + t') steps.  A match on the
-    start means tail 0, one on G(start) tail 0 or 1, told apart by one
-    step; otherwise the tail takes t' + 2 tail steps more, about
-    5(tail + t') in all.  A search that runs out takes 3 max_steps steps.
-    At stride 2 the search for the class cycle takes half as many calls,
-    plus a step per tortoise park: the README's n = 13 orbit of 1,073,397
-    configurations takes 41,303 calls for its 82,569-step class cycle.
-    The tail is walked one step a call.  Each call logs one DEBUG record
-    on the ``ringca.engine`` logger: the steps taken, t', j, p and the
-    tail.
+    The class cycle is found within 3(tail + t') steps, taken in half as
+    many moves, plus a step per tortoise park for its G(y).  A match on
+    the start means tail 0, one on G(start) tail 0 or 1, told apart by one
+    step; otherwise the tail takes t' + 2 tail steps more, one a call,
+    about 5(tail + t') in all.  A search that runs out takes 3 max_steps
+    steps in about 3 max_steps / 2 moves.  The README's n = 13 orbit of
+    1,073,397 configurations takes 41,303 calls for its 82,569-step class
+    cycle.  Each call logs one DEBUG record on the ``ringca.engine``
+    logger: the steps taken, t', j, p and the tail.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
     start = bytes(ring_cells(start, rule.d))
     n = len(start)
     step = stepper(rule, n)
-    stride = 2 if packs(rule.d, 2 * rule.m - 1) else 1  # the m of _squared(rule)
-    leap = stepper(_squared(rule), n) if stride == 2 else step
+    leap = (stepper(_squared(rule), n) if packs(rule.d, 2 * rule.m - 1)
+            else lambda y: step(step(y)))  # 2m - 1: the m of _squared(rule)
     sep, slot = bytes([rule.d]), 2 * n + 1
 
     def targets(y: bytes) -> bytes:
-        # y twice and then a byte no cell takes, after G(y) the same way at
-        # stride 2: the hare found k <= n bytes into a slot is σ^k of its copy
-        copies = y + y + sep
-        if stride == 2:
-            ahead = step(y)
-            copies = ahead + ahead + sep + copies
-        return copies
+        # G(y) and then y, each twice and then a byte no cell takes: the
+        # hare found k <= n bytes into a slot is σ^k of its copy
+        ahead = step(y)
+        return ahead + ahead + sep + y + y + sep
 
     rotations = home = targets(start)
     hare, parked, park = start, 0, 1  # the tortoise's move, the move it moves on to
-    taken = stride - 1  # steps, besides the hare's
-    for moves in range(1, -(-3 * max_steps // stride) + 1):
+    taken = 1  # steps besides the hare's: one G(y) per target
+    for moves in range(1, (3 * max_steps + 1) // 2 + 1):
         previous, hare = hare, leap(hare)
         k = rotations.find(hare)
         if k >= 0:
@@ -139,20 +136,20 @@ def cycle_length(rule: Rule, start: Sequence[int] | str, max_steps: int) -> Cycl
         if moves == park:
             parked, park = moves, 2 * moves
             rotations = home + targets(hare)
-            taken += stride - 1
-    taken += stride * moves
+            taken += 1
+    taken += 2 * moves
     # a loop that runs out leaves k == -1: no class repeats within its budget
     classes = j = p = cycle = tail = None
     if k >= 0:
+        # slots: G(start), start, G(tortoise), tortoise
         at, j = divmod(k, slot)
-        lap, copy = divmod(at, stride)  # the tortoise's slots follow the start's
-        classes = stride * (moves - lap * parked) - (stride - 1 - copy)
+        classes = 2 * (moves - at // 2 * parked) - 1 + at % 2
         cyclic = rotations[at * slot:at * slot + n]
         p = (cyclic + cyclic).find(cyclic, 1)
         cycle = classes * p // gcd(p, j)
-        if at == stride - 1:
+        if at == 1:
             tail = 0
-        elif not lap:
+        elif at == 0:
             # G(start) is on the cycle, and so is the start iff G^classes
             # of it, one step past the last hare, is σ^j of it
             tail = int(step(previous) != start[j:] + start[:j])

@@ -175,10 +175,6 @@ class StreamSpec:
     bits_per_output: int
     count: int
 
-    @property
-    def byte_length(self) -> int:
-        return (self.count * self.bits_per_output + 7) // 8
-
 
 def blocks(gen: Generator, count: int) -> Iterator[list[int]]:
     """The next ``count`` outputs of ``gen`` in lists of at most ``_BLOCK``,

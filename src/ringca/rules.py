@@ -10,7 +10,6 @@ rightmost character of the string is the next state of RMT 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 
 class RuleError(ValueError):
@@ -83,10 +82,6 @@ class Rule:
             digits.append(rmt % self.d)
             rmt //= self.d
         return tuple(reversed(digits))
-
-    def middle_digit(self, rmt: int) -> int:
-        """State of the cell being updated within neighborhood ``rmt``."""
-        return (rmt // self.d ** self.rr) % self.d
 
     def homogeneous_rmt(self, s: int) -> int:
         """The RMT of the neighborhood whose m cells all hold state ``s``."""
@@ -190,14 +185,6 @@ class FlowReport:
     left_changes: int
     right_changes: int
     total_rmts: int
-
-    @property
-    def left_rate(self) -> Fraction:
-        return Fraction(self.left_changes, self.total_rmts)
-
-    @property
-    def right_rate(self) -> Fraction:
-        return Fraction(self.right_changes, self.total_rmts)
 
 
 def information_flow(rule: Rule) -> FlowReport:

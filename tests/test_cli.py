@@ -139,7 +139,7 @@ class TestInfo:
         # every RMT of the identity rule self-replicates, so its unbounded
         # search meets all 148 elementary cycles of the 9-node graph
         probe = Rule(3, 3, (0,) * 27)
-        identity = Rule(3, 3, tuple(probe.middle_digit(r) for r in range(27)))
+        identity = Rule(3, 3, tuple(probe.rmt_digits(r)[probe.lr] for r in range(27)))
         monkeypatch.setattr(debruijn, "_MAX_CYCLES", 20)
         code, out, err = invoke(capsys, "info", "--d", "3", "--m", "3",
                                 "--rule", identity.string)
@@ -155,7 +155,7 @@ class TestInfo:
         # every RMT self-replicates, so an unbounded search would enumerate
         # every elementary cycle of the 128-node de Bruijn graph
         probe = Rule(2, 8, (0,) * 256)
-        identity = Rule(2, 8, tuple(probe.middle_digit(r) for r in range(256)))
+        identity = Rule(2, 8, tuple(probe.rmt_digits(r)[probe.lr] for r in range(256)))
         assert len(self_replicating_rmts(identity)) == 256
         capped = ("import resource, sys; "
                   "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "

@@ -164,10 +164,9 @@ class TestNextConfiguration:
         n = data.draw(st.integers(3, 12))
         cells = tuple(data.draw(st.integers(0, d - 1)) for _ in range(n))
         seq = rmt_sequence(rule, cells)
-        graph = DeBruijnGraph(d, 3)
         # consecutive RMTs must chain tail-to-head through the graph
         for r, s in zip(seq, seq[1:] + seq[:1]):
-            assert graph.edge_ends(r)[1] == graph.edge_ends(s)[0]
+            assert r % d ** 2 == s // d
         assert tuple(rule.table[r] for r in seq) == next_configuration(rule, cells)
 
 
@@ -237,7 +236,7 @@ class TestClassRoute:
 
 class TestPrimaryRmtSets:
     def test_eca_sets(self):
-        sets = {p.as_set() for p in primary_rmt_sets(2, 3, 4)}
+        sets = {frozenset(p.rmts) for p in primary_rmt_sets(2, 3, 4)}
         assert sets == {
             frozenset({0}), frozenset({7}), frozenset({2, 5}),
             frozenset({1, 2, 4}), frozenset({3, 5, 6}), frozenset({1, 3, 6, 4}),
@@ -264,7 +263,7 @@ class TestPrimaryRmtSets:
 
     def test_union_covers_all_rmts(self):
         sets = primary_rmt_sets(3, 3, 9)
-        assert frozenset().union(*(p.as_set() for p in sets)) == frozenset(range(27))
+        assert frozenset().union(*(frozenset(p.rmts) for p in sets)) == frozenset(range(27))
 
     @pytest.mark.parametrize("d, m", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
     def test_no_cycle_longer_than_node_count(self, d, m):
@@ -480,7 +479,7 @@ class TestHasCycle:
 class TestFixedPoints:
     def test_strategy_i_sample(self):
         rule = parse_rule(STRATEGY_I_SAMPLE, 3, 3)
-        found = {(p.as_set(), period) for p, period in fixed_point_attractors(rule)}
+        found = {(frozenset(p.rmts), period) for p, period in fixed_point_attractors(rule)}
         assert found == {(frozenset({26}), 1), (frozenset({1, 3, 9}), 3)}
         # (001) repeats at multiples of 3; 2^n holds at every size
         def necklace(p):
@@ -490,14 +489,14 @@ class TestFixedPoints:
 
     def test_strategy_ii_sample(self):
         rule = parse_rule(STRATEGY_II_SAMPLE, 3, 3)
-        found = [(p.as_set(), period) for p, period in fixed_point_attractors(rule)]
+        found = [(frozenset(p.rmts), period) for p, period in fixed_point_attractors(rule)]
         assert found == [(frozenset({3, 10}), 2)]
 
     def test_identity_rule(self):
         table = tuple((r // 2) % 2 for r in range(8))
         rule = Rule(2, 3, table)
-        cycles = {p.as_set() for p, _ in fixed_point_attractors(rule)}
-        assert cycles == {p.as_set() for p in primary_rmt_sets(2, 3, 4)}
+        cycles = {frozenset(p.rmts) for p, _ in fixed_point_attractors(rule)}
+        assert cycles == {frozenset(p.rmts) for p in primary_rmt_sets(2, 3, 4)}
 
     def test_fixed_points_really_fix(self):
         for text in (STRATEGY_I_SAMPLE, STRATEGY_II_SAMPLE):

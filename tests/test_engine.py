@@ -92,6 +92,13 @@ class TestCycleLength:
     # tail 0, class cycle 3 and cycle 9, met through G(start); the
     # budgets tried include max_steps == cycle
     @example((eca(9), (0,) * 5 + (1,)), 1)
+    # 4^5 > 256, so a move is two calls of G: tail 0 and an odd class
+    # cycle of 3, met through G(start)
+    @example((parse_rule("3210222311132310231311133302103122113332"
+                         "022322302023000001330300", 4, 3), (2, 3, 0, 0, 0)), 1)
+    # the same, with tail 3 and class cycle 17, met through the tortoise
+    @example((parse_rule("0201331232220202202113202311112211110011"
+                         "310131231010313201013022", 4, 3), (3, 0, 3, 2, 3)), 1)
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, orbit, budget):
         rule, start = orbit
@@ -184,16 +191,17 @@ class TestCycleLength:
         assert record.levelno == logging.DEBUG
         assert record.getMessage() == message
 
-    # permutation 8135940672 from 0...01, recorded before the d = 10 step
-    # moved to sibling classes
+    # permutation 8135940672 from 0...01: results recorded before the
+    # d = 10 step moved to sibling classes, step counts since its moves
+    # take two calls of G
     @pytest.mark.parametrize("n, max_steps, result, message", [
         (101, 400, CycleResult(cycle_length=None, tail_length=None,
                                truncated=True, steps_used=400),
-         "cycle_length(n=101, max_steps=400): 1200 steps, class cycle None, "
+         "cycle_length(n=101, max_steps=400): 1211 steps, class cycle None, "
          "rotation None, rotation period None, tail None"),
         (9, 200_000, CycleResult(cycle_length=85_023, tail_length=5_220,
                                  truncated=False, steps_used=90_243),
-         "cycle_length(n=9, max_steps=200000): 45718 steps, class cycle 9447, "
+         "cycle_length(n=9, max_steps=200000): 45734 steps, class cycle 9447, "
          "rotation 1, rotation period 9, tail 5220"),
     ])
     def test_permutation_rule_pinned(self, caplog, n, max_steps, result, message):

@@ -55,7 +55,7 @@ class TestParse:
     def test_radii(self):
         rule = parse_rule("0101101010100101", 2, 4)
         assert (rule.lr, rule.rr) == (1, 2)
-        assert rule.middle_digit(0b0100) == 1
+        assert rule.rmt_digits(0b0100)[rule.lr] == 1
 
 
 class TestBalanced:
@@ -139,7 +139,7 @@ class TestInformationFlow:
     def test_flow_rule(self):
         flow = information_flow(parse_rule(FLOW_RULE, 3, 3))
         assert (flow.right_changes, flow.left_changes) == (10, 18)
-        assert flow.right_rate.numerator == 10 and flow.right_rate.denominator == 27
+        assert flow.total_rmts == 27
 
     def test_strategy_i_sample(self):
         flow = information_flow(parse_rule(STRATEGY_I_SAMPLE, 3, 3))
@@ -174,8 +174,8 @@ class TestInformationFlow:
 
 
 def reference_self_replicating_rmts(rule):
-    """The definition, RMT by RMT through ``middle_digit``."""
-    return {r for r in range(rule.num_rmts) if rule.table[r] == rule.middle_digit(r)}
+    """The definition, RMT by RMT through the middle of ``rmt_digits``."""
+    return {r for r in range(rule.num_rmts) if rule.table[r] == rule.rmt_digits(r)[rule.lr]}
 
 
 def reference_information_flow(rule):
