@@ -10,14 +10,13 @@ from .prng import (Generator, StreamSpec, binary_blocks, decimal_digits,
                    emit_stream, tri_window)
 from .rules import (EquivalentRules, FlowReport, Rule, RuleError, eca,
                     equivalent_rules, information_flow, is_balanced, is_linear,
-                    min_representative, parse_rule, self_replicating_rmts,
-                    wolfram_number)
+                    min_representative, parse_rule, satisfies_strategy,
+                    self_replicating_rmts, wolfram_number)
 from .synthesis import (Lcg, StrategySpec, assignment_stages,
                         equivalent_sets_acceptable,
                         filter_randomness_candidates, generate_strategy,
                         permutation_of, rule_from_permutation,
-                        satisfies_strategy, strategy_iii_rules,
-                        synthesize_decimal, verify_rule)
+                        strategy_iii_rules, synthesize_decimal, verify_rule)
 from .tree import (Classification, IrrevExpression, ReversibilityCheck,
                    ReversibilityReport, check_reversible, child_node, classify,
                    merge_expressions, restrict_last_levels, reversible_sizes,

@@ -151,6 +151,21 @@ def is_balanced(rule: Rule) -> bool:
     return all(c == rule.num_sets for c in counts)
 
 
+def satisfies_strategy(rule: Rule, kind: str) -> bool:
+    """Check the distinctness predicate of strategy I (every equivalent
+    set holds each state once: permutive in the leftmost cell) or II
+    (every sibling set does: permutive in the rightmost cell)."""
+    d, num_sets, table = rule.d, rule.num_sets, rule.table
+    if kind == "I":
+        groups = (table[i::num_sets] for i in range(num_sets))
+    elif kind == "II":
+        groups = (table[j:j + d] for j in range(0, rule.num_rmts, d))
+    else:
+        raise ValueError("kind must be 'I' or 'II'")
+    # d^(m-1) groups of d RMTs, each holding every value once: balanced
+    return all(len(set(g)) == d for g in groups)
+
+
 def is_linear(rule: Rule) -> bool:
     """True iff the rule is additive under digit-wise mod-d RMT addition.
 

@@ -18,7 +18,9 @@ from itertools import permutations, product
 
 from .debruijn import (DeBruijnGraph, fixed_point_attractors, quiescent_states,
                        trivial_reachability)
-from .rules import Rule, check_dims, information_flow, self_replicating_rmts
+# satisfies_strategy stays importable from here, where the strategies live
+from .rules import (Rule, check_dims, information_flow, satisfies_strategy,  # noqa: F401
+                    self_replicating_rmts)
 
 # largest rule table, in RMTs (d^m), that the strategy generators build
 MAX_STRATEGY_RMTS = 1 << 20
@@ -631,16 +633,3 @@ def permutation_of(rule: Rule) -> str:
     if rule.d != 10 or rule.m != 3:
         raise ValueError("permutation form applies to 10-state, 3-neighborhood rules")
     return "".join(str(rule.table[t]) for t in range(10))
-
-
-def satisfies_strategy(rule: Rule, kind: str) -> bool:
-    """Check the distinctness predicate of strategy I or II."""
-    num_sets = rule.num_sets
-    if kind == "I":
-        groups = (rule.equivalent_set(i) for i in range(num_sets))
-    elif kind == "II":
-        groups = (rule.sibling_set(j) for j in range(num_sets))
-    else:
-        raise ValueError("kind must be 'I' or 'II'")
-    # d^(m-1) groups of d RMTs, each holding every value once: balanced
-    return all(len({rule.table[r] for r in g}) == rule.d for g in groups)

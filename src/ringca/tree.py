@@ -59,6 +59,21 @@ of the contents it interns (about 130 of 330 for a random balanced
 10-state rule checked at n = 5).  No restricted content or node is ever
 built: a fixed-size check judges the levels below n - m + 1 by walking
 full contents with the same verdict.
+
+A bipermutive rule, one that holds each state once on every sibling set
+and on every equivalent set (``satisfies_strategy`` "I" and "II", as
+every ``rule_from_permutation`` rule does), has a tree whose every node
+holds each sibling set once.  Proof: the root does.  If slot k of a node
+holds sibling set j, its child along branch b holds the sibling sets of
+the RMTs of Sibl_j labelled b, and Sibl_j labels exactly one RMT r with
+b, so the child slot holds the one sibling set r mod d^(m-1).  Two
+slots holding Sibl_j and Sibl_j' map to the same set only if their RMTs
+r and r' labelled b lie in one equivalent set, which labels b once, so
+r = r' and j = j'.  Each branch thus permutes the sibling sets, and
+every node passes the generic count as the root does.  This is the tree's
+view of Hedlund's (1969) result that such a rule is surjective: only the
+last levels n - iota decide its reversibility, so its fixed-size check
+judges a node at those alone, and only once the node's claims reach one.
 """
 
 from __future__ import annotations
@@ -69,7 +84,7 @@ from enum import Enum
 from itertools import repeat
 from operator import add, getitem, itemgetter
 
-from .rules import Rule, is_balanced
+from .rules import Rule, is_balanced, satisfies_strategy
 
 TreeNode = tuple[frozenset[int], ...]
 
@@ -327,7 +342,7 @@ class _Node:
         # occurrence claims accumulated over every level-set state, as
         # progressions (see ``_covers``)
         self.claims: set[tuple[int, int]] = claims
-        self.bad_iotas = bad_iotas
+        self.bad_iotas = bad_iotas  # None while unjudged (_BipermutiveBuilder)
 
 
 def _covers(progressions, p: int) -> bool:
@@ -594,22 +609,74 @@ class _FixedSizeBuilder(_Builder):
                 raise _IrreversibleFound
 
 
+class _BipermutiveBuilder(_FixedSizeBuilder):
+    """Fixed-size check of a bipermutive rule (strategies I and II).
+
+    Every node of its tree passes the generic count (see the module
+    docstring), so a node is judged for its last levels only, and only
+    once one of its claims reaches a last level n - iota: a bad iota's
+    report (s + iota, p) covers n exactly when its claim (s, p) covers
+    n - iota, and the check stops only on a report that covers n.  Until
+    then the node's ``bad_iotas`` is None.  Children that share a copy
+    of claims are all judged or all not, so ``_build``'s one report per
+    set of bad iotas stays exact.
+    """
+
+    def __init__(self, rule: Rule, n: int):
+        super().__init__(rule, n)
+        self.last_levels = range(n - rule.m + 1, n)
+
+    def _reaches(self, claims) -> bool:
+        """Whether one of the claims covers a last level n - iota."""
+        return any(_covers(claims, level) for level in self.last_levels)
+
+    def _new_node(self, gamma, levels: set[int], claims: set[tuple[int, int]],
+                  created_level: int) -> int:
+        uid = len(self.nodes)
+        if uid >= _MAX_NODES:
+            raise TreeSizeError(f"more than {_MAX_NODES} unique nodes")
+        bad_iotas = self.ctx.verdict(gamma)[1] if self._reaches(claims) else None
+        self.nodes.append(_Node(gamma, levels, claims, bad_iotas, created_level))
+        self.index[gamma] = uid
+        return uid
+
+    def _claims_grew(self, nd: _Node, new) -> None:
+        if nd.bad_iotas is None:
+            if not self._reaches(new):
+                return
+            nd.bad_iotas = self.ctx.verdict(nd.gamma)[1]
+        super()._claims_grew(nd, new)
+
+
 def check_reversible(rule: Rule, n: int) -> ReversibilityCheck:
     """Decide whether the global map is bijective for ring size ``n``.
 
     An unbalanced rule needs no case of its own: the root's generic count
-    is the rule's balance, so its tree ends at the root, with M = 0.
+    is the rule's balance, so its tree ends at the root, with M = 0.  A
+    bipermutive rule is checked by ``_BipermutiveBuilder``, with the same
+    result.  Each call logs one DEBUG record on the ``ringca.tree``
+    logger: the verdict, M, the last level, whether the bipermutive
+    check ran and how many tree nodes had their last levels judged.
     """
     if n < rule.m:
         raise ValueError(f"ring size must be at least m={rule.m}, got {n}")
-    builder = _FixedSizeBuilder(rule, n)
+    bipermutive = satisfies_strategy(rule, "II") and satisfies_strategy(rule, "I")
+    builder = (_BipermutiveBuilder if bipermutive else _FixedSizeBuilder)(rule, n)
     try:
         builder.build()
+        reversible = True
     except _IrreversibleFound:
-        return ReversibilityCheck(
-            n, False, builder.unique_nodes, builder.last_unique_level)
+        reversible = False
+    # imported here, as in engine: ringca.cli starts without logging
+    import logging
+    log = logging.getLogger(__name__)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("check_reversible(n=%d): reversible %s, M %d, last level %s, "
+                  "bipermutive %s, judged at last levels %d",
+                  n, reversible, builder.unique_nodes, builder.last_unique_level,
+                  bipermutive, sum(nd.bad_iotas is not None for nd in builder.nodes))
     return ReversibilityCheck(
-        n, True, builder.unique_nodes, builder.last_unique_level)
+        n, reversible, builder.unique_nodes, builder.last_unique_level)
 
 
 # ---------------------------------------------------------------------------

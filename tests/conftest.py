@@ -93,6 +93,31 @@ def pair_graph_bijective(rule, n):
                    for p in range(nodes * nodes) if p // nodes != p % nodes)
 
 
+def label_walk_bijective_sizes(rule, up_to):
+    """The ring sizes n <= ``up_to`` at which ``pair_graph_bijective``
+    holds, for a rule whose sibling sets hold each state once (strategy
+    II), found without the d^(2m-2)-node pair matrix.
+
+    Window u then leaves by exactly one edge labelled b, to delta_b(u),
+    so a pair walk is fixed by its start and its label word w, and it
+    closes at (u, v) iff the map delta_w fixes both u and v.  The global
+    map is a bijection at size n iff no word of length n has a map with
+    two fixed points; the maps of the words of each length are kept as
+    one set of tuples.
+    """
+    d, nodes = rule.d, rule.d ** (rule.m - 1)
+    delta = [[None] * nodes for _ in range(d)]
+    for r, label in enumerate(rule.table):
+        assert delta[label][r // d] is None, "a sibling set repeats a state"
+        delta[label][r // d] = r % nodes
+    maps, sizes = {tuple(range(nodes))}, set()
+    for n in range(1, up_to + 1):
+        maps = {tuple(step[u] for u in f) for f in maps for step in delta}
+        if not any(sum(u == v for u, v in enumerate(f)) > 1 for f in maps):
+            sizes.add(n)
+    return sizes
+
+
 @pytest.fixture(scope="session")
 def second_approach_rules():
     lines = (DATA / "good_rules_second_approach.txt").read_text().split()

@@ -182,7 +182,7 @@ class TestCycleLength:
         (FLOW_RULE, 3, "0000001", 10,
          "cycle_length(n=7, max_steps=10): 35 steps, class cycle None, "
          "rotation None, rotation period None, tail None"),
-    ])
+    ], ids=["flow-n13", "eca110-n10", "flow-n7-truncated"])
     def test_debug_record(self, caplog, digits, d, start, max_steps, message):
         rule = parse_rule(digits, d, 3)
         with caplog.at_level(logging.DEBUG, logger="ringca.engine"):
@@ -203,7 +203,7 @@ class TestCycleLength:
                                  truncated=False, steps_used=90_243),
          "cycle_length(n=9, max_steps=200000): 45734 steps, class cycle 9447, "
          "rotation 1, rotation period 9, tail 5220"),
-    ])
+    ], ids=["n101-truncated", "n9"])
     def test_permutation_rule_pinned(self, caplog, n, max_steps, result, message):
         rule = rule_from_permutation("8135940672")
         with caplog.at_level(logging.DEBUG, logger="ringca.engine"):

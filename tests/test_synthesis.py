@@ -744,6 +744,28 @@ class TestAssignCycle:
         assert new.table == ref.table
         assert new.rng.state == ref.rng.state
 
+    def test_forced_fallback_pinned(self):
+        # the last member r = 010 of the staged set (010, 101) may take 4,
+        # which 101 holds, or 7, which the rest of its equivalent set
+        # holds: the constant-set ban drops 4 and the equivalent-set ban
+        # drops 7, so _prune falls back to both, and _runs keeps only 7,
+        # since 4 closes the constant cycle 010 -> 101.  Without the
+        # last-member bans the prune keeps only 4 and the set dead-ends.
+        cycle, r = (10, 101), 10
+        assert cycle in _STAGES[1]
+        table = [-1] * 1000
+        table[101] = 4
+        for x in range(110, 1000, 100):
+            table[x] = 7
+        for x, value in zip(range(11, 19), (0, 1, 2, 3, 5, 6, 8, 9)):
+            table[x] = value
+        asm = _assembler(table, 1, 3)
+        assert asm._prune(cycle, r, [4, 7], True) == [4, 7]
+        assert asm._prune(cycle, r, [4, 7], False) == [4]
+        assert asm._runs(r, [4, 7]) == [(1, 7)]
+        asm.assign_cycle(cycle)
+        assert asm.table[r] == 7
+
 
 def _rebuilt_succ(table):
     """The assembler's successor table, built afresh from a (partial)

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import random
 from operator import getitem
@@ -6,17 +7,19 @@ from operator import getitem
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringca.rules import Rule, eca, is_balanced, parse_rule
+from ringca.rules import Rule, eca, is_balanced, parse_rule, satisfies_strategy
 from ringca.synthesis import (StrategySpec, generate_strategy,
                               rule_from_permutation)
 from ringca.tree import (Classification, IrrevExpression, ReversibilityCheck,
-                         _ClassifyBuilder, _Context, _FixedSizeBuilder,
+                         _BipermutiveBuilder, _ClassifyBuilder, _Context,
+                         _FixedSizeBuilder,
                          _IrreversibleFound, _WideNodes,
                          _strictly_irreversible, check_reversible,
                          child_node, classify, merge_expressions,
                          restrict_last_levels, reversible_sizes, root_node)
 
-from conftest import (PERMUTATION_RULES, brute_force_reversible,
+from conftest import (PERMUTATION_RULES, STRATEGY_I_SAMPLE, STRATEGY_II_SAMPLE,
+                      brute_force_reversible, label_walk_bijective_sizes,
                       pair_graph_bijective)
 from test_tree_tables import ROWS
 
@@ -718,6 +721,126 @@ class TestTailBound:
             assert bound == reference_tail_bound(builder.evidence), rule.string
             bounded += bound is not None
         assert bounded > 20
+
+
+# rules that hold each state once on every sibling set and on every
+# equivalent set (strategies I and II): the 15 fixtures, the four such
+# ECAs and two non-linear 3-state rules, reversible at the odd sizes and
+# at 19 of the sizes 3..24
+BIPERMUTIVE = ([rule_from_permutation(perm) for perm in PERMUTATION_RULES]
+               + [eca(k) for k in (90, 105, 150, 165)]
+               + [parse_rule(text, 3, 3) for text in ("201120012012201120120012201",
+                                                      "201012120120201012012120201")])
+BIPERMUTIVE_IDS = (PERMUTATION_RULES + ["eca90", "eca105", "eca150", "eca165"]
+                   + ["201120012012201120120012201", "201012120120201012012120201"])
+
+
+def fixed_size_result(builder):
+    """(reversible, M, last level) of a fixed-size builder's check."""
+    try:
+        builder.build()
+        reversible = True
+    except _IrreversibleFound:
+        reversible = False
+    return reversible, builder.unique_nodes, builder.last_unique_level
+
+
+class TestBipermutive:
+    """Every node of a bipermutive rule's tree holds each root content
+    once, so the fixed-size check judges last levels only, where claims
+    reach them, and gives the plain check's result."""
+
+    @staticmethod
+    def root_children_permute(rule):
+        """Whether every child of the root holds each root content once,
+        and whether every one holds only root contents."""
+        ctx = _Context(rule)
+        root = ctx.root()
+        children = ctx.children(root)
+        return (all(sorted(child) == sorted(root) for child in children),
+                all(set(child) <= set(root) for child in children))
+
+    def test_predicate_agrees_with_child_lists(self):
+        # strategy II holds iff each child slot of the root is one sibling
+        # set, and I holds as well iff no child repeats one
+        rng = random.Random(29)
+        rules = list(BIPERMUTIVE)
+        for kind in ("I", "II"):
+            for seed in range(20):
+                rules += generate_strategy(StrategySpec(kind, seed=seed), 5)
+        for d, m in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)]:
+            for _ in range(40):
+                table = [v for v in range(d) for _ in range(d ** (m - 1))]
+                rng.shuffle(table)
+                rules.append(Rule(d, m, tuple(table)))
+        both = 0
+        for rule in rules:
+            permute, closed = self.root_children_permute(rule)
+            second = satisfies_strategy(rule, "II")
+            assert closed == second, rule.string
+            assert permute == (second and satisfies_strategy(rule, "I")), rule.string
+            both += permute
+        assert both > len(BIPERMUTIVE)
+
+    @pytest.mark.parametrize("rule", BIPERMUTIVE, ids=BIPERMUTIVE_IDS)
+    def test_nodes_hold_each_root_content_once(self, rule):
+        sizes = (11, 23) if rule.d == 10 else (23, 24)
+        for n in sizes:
+            builder = _BipermutiveBuilder(rule, n)
+            fixed_size_result(builder)
+            root = sorted(builder.ctx.root())
+            assert builder.unique_nodes > 1
+            for nd in builder.nodes:
+                assert sorted(nd.gamma) == root
+                assert builder.ctx.verdict(nd.gamma)[0]  # the generic count
+
+    @pytest.mark.parametrize("rule", BIPERMUTIVE, ids=BIPERMUTIVE_IDS)
+    def test_matches_plain_check_and_pair_graph(self, rule):
+        reversible = label_walk_bijective_sizes(rule, 24)
+        if rule.d < 10:
+            assert reversible == {n for n in range(1, 25)
+                                  if pair_graph_bijective(rule, n)}
+        for n in range(rule.m, 25):
+            got = fixed_size_result(_BipermutiveBuilder(rule, n))
+            assert got == fixed_size_result(_FixedSizeBuilder(rule, n)), n
+            assert got[0] == (n in reversible), n
+
+    def test_label_walks_against_pair_graph(self):
+        # the pair-graph oracle itself at sizes where its 10,000-node
+        # pair matrix stays cheap, and on every small strategy II rule
+        rule = rule_from_permutation(PERMUTATION_RULES[0])
+        assert label_walk_bijective_sizes(rule, 3) == {
+            n for n in range(1, 4) if pair_graph_bijective(rule, n)}
+        for seed in range(10):
+            for rule in generate_strategy(StrategySpec("II", seed=seed), 4):
+                assert label_walk_bijective_sizes(rule, 9) == {
+                    n for n in range(1, 10) if pair_graph_bijective(rule, n)}
+
+    @pytest.mark.parametrize("text, d, n, message", [
+        (PERMUTATION_RULES[0], 10, 11,
+         "check_reversible(n=11): reversible True, M 811, last level 9, "
+         "bipermutive True, judged at last levels 100"),
+        (PERMUTATION_RULES[0], 10, 21,
+         "check_reversible(n=21): reversible False, M 1712, last level 19, "
+         "bipermutive True, judged at last levels 1"),
+        (STRATEGY_I_SAMPLE, 3, 25,
+         "check_reversible(n=25): reversible True, M 1371, last level 19, "
+         "bipermutive False, judged at last levels 1371"),
+        (STRATEGY_II_SAMPLE, 3, 20,
+         "check_reversible(n=20): reversible False, M 295, last level 6, "
+         "bipermutive False, judged at last levels 295"),
+    ], ids=["fixture-n11", "fixture-n21", "strategy-i", "strategy-ii"])
+    def test_debug_record(self, caplog, text, d, n, message):
+        rule = rule_from_permutation(text) if d == 10 else parse_rule(text, d, 3)
+        with caplog.at_level(logging.DEBUG, logger="ringca.tree"):
+            check_reversible(rule, n)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage() == message
+
+    def test_silent_by_default(self, caplog):
+        check_reversible(rule_from_permutation(PERMUTATION_RULES[0]), 11)
+        assert not caplog.records
 
 
 class TestReportsComplete:
