@@ -63,7 +63,10 @@ def _add_rule_args(p: argparse.ArgumentParser) -> None:
 
 def _cmd_classify(args) -> int:
     rule = _load_rule(args)
-    report = tree.classify(rule)
+    stats = _debug_to_stderr("ringca.tree") if args.stats \
+        else contextlib.nullcontext()
+    with stats:
+        report = tree.classify(rule)
     if args.json:
         print(json.dumps(report.to_dict()))
         return 0
@@ -81,7 +84,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_check(args) -> int:
     rule = _load_rule(args)
-    result = tree.check_reversible(rule, args.size)
+    stats = _debug_to_stderr("ringca.tree") if args.stats \
+        else contextlib.nullcontext()
+    with stats:
+        result = tree.check_reversible(rule, args.size)
     if args.json:
         print(json.dumps(dataclasses.asdict(result)))
         return 0
@@ -241,12 +247,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="reversibility class over all ring sizes")
     _add_rule_args(p)
     p.add_argument("--json", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="print the class, M, the last level, the levels "
+                        "built and why construction stopped to stderr")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("check", help="reversibility at one ring size")
     _add_rule_args(p)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--json", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="print the verdict, M, the last level, whether the "
+                        "bipermutive check ran and the nodes judged at last "
+                        "levels to stderr")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("info", help="static metrics and attractor structure")

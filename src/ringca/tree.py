@@ -81,8 +81,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from operator import add, getitem, itemgetter
+from itertools import compress, repeat
+from operator import add, getitem, itemgetter, setitem
 
 from .rules import Rule, is_balanced, satisfies_strategy
 
@@ -132,11 +132,16 @@ class _Context:
     ``sum(map(getitem, judge, gamma))``, over plain lists.  A node that
     holds an id no judged node held before fails that sum on a missing
     entry; ``_fill_columns`` then computes the residue tables of each such
-    content and writes its entries at every slot index, its column, with
-    C-level ``map`` calls, before the sum is taken again.  The total's
-    group 0 must read d^m RMTs, balanced, and each group iota d^iota, or
-    the node fails at n - iota.  Verdicts are kept by the total's
-    difference from a passing one, so nodes that fail alike share one.
+    content and writes its entries at every slot index, its column, before
+    the sum is taken again.  Only group 1, whose residue table is as wide
+    as a node, costs a Python step per entry, and only at its non-zero
+    entries, the slots ``r % d**(m-1)`` of the content's own RMTs: group
+    0's total is added to the smallest residue table, groups 2 and up are
+    read at every slot by the ``residues`` getters, and one
+    ``map(setitem, ...)`` writes the column.  The total's group 0 must
+    read d^m RMTs, balanced, and each group iota d^iota, or the node
+    fails at n - iota.  Verdicts are kept by the total's difference from
+    a passing one, so nodes that fail alike share one.
     """
 
     def __init__(self, rule: Rule):
@@ -151,7 +156,7 @@ class _Context:
             self.value_mask[v] |= 1 << r
         # sibling expansion of a single RMT: Sibl_(r mod d^(m-1))
         block = (1 << d) - 1
-        self.expand = [block << (d * (r % self.num_sets)) for r in range(self.num_rmts)]
+        self.expand = [block << (d * j) for j in range(self.num_sets)] * d
         # value counts of a slot, one bit field per value; the fields are
         # wide enough that a node's sum never carries from one to the next
         self.width = (self.num_sets * self.num_rmts).bit_length() + 1
@@ -166,7 +171,8 @@ class _Context:
         # modulo steps[iota]; the full content (iota 0) is residue 0 mod 1.
         # units[iota][r] is one RMT r in its value's field of group iota
         self.steps = [1] + [d ** (m - iota) for iota in range(1, m)]
-        self.units = [[1 << (v * self.width + iota * self.group) for v in rule.table]
+        self.units = [list(map([1 << (v * self.width + iota * self.group)
+                                for v in range(d)].__getitem__, rule.table))
                       for iota in range(m)]
         # slot k keeps residue k // d**(iota-1) in field group iota: k
         # itself in group 1, and these getters' entries in groups 2 and up
@@ -234,14 +240,24 @@ class _Context:
             pad = [None] * (len(self.masks) - len(judge[0]))
             for table in judge:
                 table.extend(pad)
+        slots = range(self.num_sets)
         for sid in set(gamma):
             if judge[0][sid] is None:
-                tables = self._counts(self.masks[sid])
-                column = map(add, repeat(tables[0][0]), tables[1])
-                for table, residues in zip(tables[2:], self.residues):
-                    column = map(add, column, residues(table))
-                for table, entry in zip(judge, column):
-                    table[sid] = entry
+                (total,), first, *rest = self._counts(self.masks[sid])
+                if rest:
+                    # group 0 folded into the smallest residue table, and
+                    # groups 2 .. m-1 read at every slot by their getters
+                    *rest, low = rest
+                    column = self.residues[-1]([count + total for count in low])
+                    for table, residues in zip(rest, self.residues):
+                        column = map(add, column, residues(table))
+                    column = list(column)
+                    # group 1 at the slots k = r % d**(m-1) of its RMTs
+                    for k in compress(slots, first):
+                        column[k] += first[k]
+                else:  # m = 2: group 1 alone is d**(m-1) wide
+                    column = [count + total for count in first]
+                any(map(setitem, judge, repeat(sid), column))  # runs to the end
 
     def root(self) -> bytes | tuple[int, ...]:
         """The root node, as bytes while the ids fit a byte."""
@@ -259,7 +275,7 @@ class _Context:
             return list(map(itemgetter(*gamma), self.child_slot))
         if self.tables is None:
             raise _WideNodes
-        return [gamma.translate(table) for table in self.tables]
+        return list(map(gamma.translate, self.tables))
 
     def verdict(self, gamma: bytes | tuple[int, ...]) -> tuple[bool, frozenset[int]]:
         """Whether the node passes the generic balance and d^m count, and
@@ -386,6 +402,14 @@ class _Builder:
     with equal bad iotas at the same copy make one report between them,
     since a repeat could neither stop a check nor add evidence.
 
+    The parent's levels shifted a level, ``ahead``, are likewise made
+    once per parent: each new child starts from a copy, and a known
+    child whose levels already hold ``ahead`` gets no occurrence to
+    record.  Recording occurrences at another child may replace or grow
+    the parent's own levels (a node can be its own descendant), so
+    ``ahead`` is made again after those records whenever the parent's
+    levels were replaced or grew; they never shrink in place.
+
     Two invariants make these reports complete:
 
     - a node's claims always contain the claims of its current level set
@@ -414,13 +438,16 @@ class _Builder:
 
     def _new_node(self, gamma, levels: set[int], claims: set[tuple[int, int]],
                   created_level: int) -> int:
+        """Append a judged node; it keeps copies of ``levels`` and
+        ``claims``, which its new siblings share."""
         uid = len(self.nodes)
         generic_ok, bad_iotas = self.ctx.verdict(gamma)
         if not generic_ok:
             self._found(((created_level + self.ctx.m, 1),))
         if uid >= _MAX_NODES:
             raise TreeSizeError(f"more than {_MAX_NODES} unique nodes")
-        self.nodes.append(_Node(gamma, levels, claims, bad_iotas, created_level))
+        self.nodes.append(_Node(gamma, levels.copy(), claims.copy(), bad_iotas,
+                                created_level))
         self.index[gamma] = uid
         return uid
 
@@ -491,7 +518,8 @@ class _Builder:
                 self._changed(c)
                 continue
             for l in sorted(nd.levels):
-                self._record_occurrence(c, l + 1)
+                if l + 1 not in child.levels:
+                    self._record_occurrence(c, l + 1)
 
     # -- construction -----------------------------------------------------
 
@@ -516,6 +544,9 @@ class _Builder:
             next_frontier = []
             for p in frontier:
                 parent = self.nodes[p]
+                levels = parent.levels
+                size = len(levels)  # ``levels`` as ``ahead`` was made
+                ahead = {l + 1 for l in levels}
                 children = []
                 version = -1  # len(parent.claims) when ``shifted`` was made
                 for gamma in self.ctx.children(parent.gamma):
@@ -525,8 +556,7 @@ class _Builder:
                             version = len(parent.claims)
                             shifted = {(s + 1, p) for s, p in parent.claims}
                             reported = set()  # bad iotas reported at ``shifted``
-                        uid = self._new_node(gamma, {l + 1 for l in parent.levels},
-                                             shifted.copy(), created_level=i)
+                        uid = self._new_node(gamma, ahead, shifted, created_level=i)
                         child = self.nodes[uid]
                         if child.bad_iotas not in reported:
                             reported.add(child.bad_iotas)
@@ -534,13 +564,20 @@ class _Builder:
                         next_frontier.append(uid)
                     else:
                         child = self.nodes[uid]
-                        for l in sorted(parent.levels):
-                            if l + 1 not in child.levels:
-                                self._record_occurrence(uid, l + 1)
+                        if not ahead <= child.levels:
+                            for l in sorted(parent.levels):
+                                if l + 1 not in child.levels:
+                                    self._record_occurrence(uid, l + 1)
+                            if parent.levels is not levels or len(levels) != size:
+                                levels = parent.levels
+                                size = len(levels)
+                                ahead = {l + 1 for l in levels}
                     children.append(uid)
                 parent.children = children
             frontier = next_frontier
             i += 1
+        self.levels_built = i  # levels 0 .. i - 1
+        self.converged = not frontier
 
     # -- stats -------------------------------------------------------------
 
@@ -625,6 +662,7 @@ class _BipermutiveBuilder(_FixedSizeBuilder):
     def __init__(self, rule: Rule, n: int):
         super().__init__(rule, n)
         self.last_levels = range(n - rule.m + 1, n)
+        self._reached = (None, False)  # claims and whether they reach one
 
     def _reaches(self, claims) -> bool:
         """Whether one of the claims covers a last level n - iota."""
@@ -635,8 +673,11 @@ class _BipermutiveBuilder(_FixedSizeBuilder):
         uid = len(self.nodes)
         if uid >= _MAX_NODES:
             raise TreeSizeError(f"more than {_MAX_NODES} unique nodes")
-        bad_iotas = self.ctx.verdict(gamma)[1] if self._reaches(claims) else None
-        self.nodes.append(_Node(gamma, levels, claims, bad_iotas, created_level))
+        if claims is not self._reached[0]:  # siblings share ``claims``
+            self._reached = (claims, self._reaches(claims))
+        bad_iotas = self.ctx.verdict(gamma)[1] if self._reached[1] else None
+        self.nodes.append(_Node(gamma, levels.copy(), claims.copy(), bad_iotas,
+                                created_level))
         self.index[gamma] = uid
         return uid
 
@@ -807,16 +848,39 @@ def _strictly_irreversible(rule: Rule) -> bool:
 
 
 def classify(rule: Rule) -> ReversibilityReport:
-    """Full reversibility class plus irreversibility expressions."""
+    """Full reversibility class plus irreversibility expressions.
+
+    Each call logs one DEBUG record on the ``ringca.tree`` logger: the
+    class, M, the last level, the levels built and why construction
+    stopped, at convergence or at the tail bound B, or that a strictly
+    irreversible or unbalanced rule needs no tree.
+    """
     if _strictly_irreversible(rule):
-        return ReversibilityReport(Classification.STRICTLY_IRREVERSIBLE)
-    if not is_balanced(rule):
-        return ReversibilityReport(
+        report = ReversibilityReport(Classification.STRICTLY_IRREVERSIBLE)
+        levels, stopped = 0, "no tree: strictly irreversible"
+    elif not is_balanced(rule):
+        report = ReversibilityReport(
             Classification.TRIVIAL_SEMI, irreversible_from=rule.m)
+        levels, stopped = 0, "no tree: unbalanced"
+    else:
+        builder = _ClassifyBuilder(rule)
+        builder.build()
+        report = _report(builder)
+        levels = builder.levels_built
+        stopped = ("stopped at convergence" if builder.converged
+                   else f"stopped at tail bound B = {report.irreversible_from}")
+    # imported here, as in engine: ringca.cli starts without logging
+    import logging
+    log = logging.getLogger(__name__)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("classify: %s, M %d, last level %s, levels built %d, %s",
+                  report.classification.value, report.unique_nodes,
+                  report.last_unique_level, levels, stopped)
+    return report
 
-    builder = _ClassifyBuilder(rule)
-    builder.build()
 
+def _report(builder: _ClassifyBuilder) -> ReversibilityReport:
+    """The report of a built classify tree."""
     stats = {
         "unique_nodes": builder.unique_nodes,
         "last_unique_level": builder.last_unique_level,

@@ -54,6 +54,18 @@ class TestClassify:
         assert report.unique_nodes == 21
         assert report.expressions[0].modulus == 2
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_stats(self, capsys, json_flag):
+        argv = ("classify", "--d", "2", "--m", "3", "--rule", "00011011", *json_flag)
+        code, plain, err = invoke(capsys, *argv)
+        assert code == 0 and err == ""
+        code, out, err = invoke(capsys, *argv, "--stats")
+        assert code == 0 and out == plain
+        assert err == ("classify: trivially-semi-reversible, M 7, last level 2, "
+                       "levels built 3, stopped at tail bound B = 4\n")
+        # the handler is gone again
+        assert invoke(capsys, *argv)[2] == ""
+
 
 class TestCheck:
     def test_irreversible(self, capsys):
@@ -75,6 +87,18 @@ class TestCheck:
         assert code == 0
         assert out == ('{"size": 1001, "reversible": true, "unique_nodes": 21, '
                        '"last_unique_level": 5}\n')
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    def test_stats(self, capsys, json_flag):
+        argv = ("check", "--d", "3", "--m", "3",
+                "--rule", "102012120012102120102102120", "--size", "555", *json_flag)
+        code, plain, err = invoke(capsys, *argv)
+        assert code == 0 and err == ""
+        code, out, err = invoke(capsys, *argv, "--stats")
+        assert code == 0 and out == plain
+        assert err == ("check_reversible(n=555): reversible False, M 19, "
+                       "last level 3, bipermutive False, judged at last levels 19\n")
+        assert invoke(capsys, *argv)[2] == ""
 
     def test_domain_error_exit_code(self, capsys):
         code, _, err = invoke(capsys, "check", "--d", "3", "--m", "3",

@@ -12,7 +12,7 @@ from ringca.synthesis import (StrategySpec, generate_strategy,
                               rule_from_permutation)
 from ringca.tree import (Classification, IrrevExpression, ReversibilityCheck,
                          _BipermutiveBuilder, _ClassifyBuilder, _Context,
-                         _FixedSizeBuilder,
+                         _Builder, _FixedSizeBuilder,
                          _IrreversibleFound, _WideNodes,
                          _strictly_irreversible, check_reversible,
                          child_node, classify, merge_expressions,
@@ -21,6 +21,7 @@ from ringca.tree import (Classification, IrrevExpression, ReversibilityCheck,
 from conftest import (PERMUTATION_RULES, STRATEGY_I_SAMPLE, STRATEGY_II_SAMPLE,
                       brute_force_reversible, label_walk_bijective_sizes,
                       pair_graph_bijective)
+from test_tree_golden import golden_rules
 from test_tree_tables import ROWS
 
 
@@ -623,6 +624,27 @@ class TestClassify:
             data = json.loads(json.dumps(report.to_dict()))
             assert ReversibilityReport.from_dict(data) == report
 
+    @pytest.mark.parametrize("number, message", [
+        (75, "classify: non-trivially-semi-reversible, M 21, last level 5, "
+             "levels built 7, stopped at convergence"),
+        (27, "classify: trivially-semi-reversible, M 7, last level 2, "
+             "levels built 3, stopped at tail bound B = 4"),
+        (90, "classify: strictly-irreversible, M 0, last level None, "
+             "levels built 0, no tree: strictly irreversible"),
+        (1, "classify: trivially-semi-reversible, M 0, last level None, "
+            "levels built 0, no tree: unbalanced"),
+    ], ids=["convergence", "tail-bound", "strict", "unbalanced"])
+    def test_debug_record(self, caplog, number, message):
+        with caplog.at_level(logging.DEBUG, logger="ringca.tree"):
+            classify(eca(number))
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage() == message
+
+    def test_silent_by_default(self, caplog):
+        classify(eca(75))
+        assert not caplog.records
+
 
 class TestStrictlyIrreversible:
     @pytest.mark.parametrize("d", range(2, 11))
@@ -879,6 +901,107 @@ class TestReportsComplete:
         table = data.draw(st.permutations(
             [v for v in range(d) for _ in range(d ** (m - 1))]), label="table")
         assert self.unreported(Rule(d, m, tuple(table)))[0] == []
+
+
+class _PlainBuild(_Builder):
+    """The child loop without per-parent sharing: each new child gets its
+    own shifted levels and claims and reports its claims, and each known
+    child is offered every level of its parent."""
+
+    def _build(self):
+        self.nodes = []
+        self.index = {}
+        self._new_node(self.ctx.root(), {0}, {(0, 0)}, created_level=0)
+        self._claims_grew(self.nodes[0], self.nodes[0].claims)
+        frontier = [0]
+        i = 1
+        while frontier and not self._done(i):
+            next_frontier = []
+            for p in frontier:
+                parent = self.nodes[p]
+                children = []
+                for gamma in self.ctx.children(parent.gamma):
+                    uid = self.index.get(gamma)
+                    if uid is None:
+                        shifted = {(s + 1, q) for s, q in parent.claims}
+                        uid = self._new_node(gamma, {l + 1 for l in parent.levels},
+                                             shifted, created_level=i)
+                        self._claims_grew(self.nodes[uid], shifted)
+                        next_frontier.append(uid)
+                    else:
+                        for l in sorted(parent.levels):
+                            self._record_occurrence(uid, l + 1)
+                    children.append(uid)
+                parent.children = children
+            frontier = next_frontier
+            i += 1
+
+
+class _PlainClassify(_ClassifyBuilder, _PlainBuild):
+    pass
+
+
+class _PlainFixedSize(_FixedSizeBuilder, _PlainBuild):
+    pass
+
+
+class _PlainBipermutive(_BipermutiveBuilder, _PlainBuild):
+    pass
+
+
+PLAIN = {_ClassifyBuilder: _PlainClassify, _FixedSizeBuilder: _PlainFixedSize,
+         _BipermutiveBuilder: _PlainBipermutive}
+
+
+def random_tree_rules(count, seed):
+    """``count`` seeded random balanced rules with d <= 3 that are not
+    strictly irreversible, so that classify builds their trees."""
+    rng = random.Random(seed)
+    rules = []
+    while len(rules) < count:
+        d, m = rng.choice([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+        table = [v for v in range(d) for _ in range(d ** (m - 1))]
+        rng.shuffle(table)
+        rule = Rule(d, m, tuple(table))
+        if not _strictly_irreversible(rule):
+            rules.append(rule)
+    return rules
+
+
+class TestNodeState:
+    """The builder shares per-parent work among a parent's children: the
+    shifted levels and claims, one report per set of bad iotas, and the
+    skip of a known child that already holds every shifted level.  The
+    plain child loop, which shares nothing, builds the same nodes."""
+
+    @staticmethod
+    def state(cls, *args):
+        builder = cls(*args)
+        try:
+            builder.build()
+            stopped = None
+        except _IrreversibleFound:
+            stopped = "irreversible"
+        nodes = [(nd.gamma, nd.levels, nd.claims, nd.bad_iotas, nd.children)
+                 for nd in builder.nodes]
+        return stopped, nodes, getattr(builder, "evidence", None)
+
+    def test_same_nodes_as_plain_loop(self):
+        rules = [rule for rule in golden_rules()
+                 if is_balanced(rule) and not _strictly_irreversible(rule)]
+        rules += random_tree_rules(200, 30)
+        builds = 0
+        for rule in rules:
+            cases = [(_ClassifyBuilder, rule)]
+            fixed = (_BipermutiveBuilder
+                     if satisfies_strategy(rule, "II") and satisfies_strategy(rule, "I")
+                     else _FixedSizeBuilder)
+            cases += [(fixed, rule, n) for n in (5, 7, 11, 13, 30)]
+            for cls, *args in cases:
+                got = self.state(cls, *args)
+                assert got == self.state(PLAIN[cls], *args), (rule.string, cls, args)
+                builds += 1
+        assert len(rules) > 350 and builds == 6 * len(rules)
 
 
 # Reversible at n = 11 by a brute-force enumeration of the 3^11 rings and by
