@@ -500,34 +500,20 @@ class _DecimalAssembler:
         for r in todo:
             base = r - r % 10
             allowed = sorted(_DIGITS.difference(table[base:base + 10]))
-            runs = self._runs(r, self._prune(cycle, r, allowed, r == todo[-1]))
+            runs = self._runs(r, self._prune(r, allowed))
             if not runs:
-                raise _DeadEnd  # whatever we pick, verification will fail
+                raise _DeadEnd  # every value closes a short bad cycle
             candidates = [v for run, v in runs if run < max_run]
             # else no value avoids a long run: take the least-bad one
             self._set(r, choice(candidates) if candidates else min(runs)[1])
 
-    def _prune(self, cycle: tuple[int, ...], r: int, allowed: list[int],
-               last: bool) -> list[int]:
-        """``allowed`` less the values that would make a set constant or
-        entirely self-replicating, or ``allowed`` if that leaves none;
-        ``last`` says that r is the cycle's last unassigned RMT."""
-        table = self.table
-        pruned = allowed
-        if last:
-            # the set must not become constant ...
-            values = {table[x] for x in cycle if x != r}
-            if len(values) == 1:
-                pruned = [v for v in pruned if v not in values]
-            # ... nor entirely self-replicating
-            if all(table[x] == x // 10 % 10 for x in cycle if x != r):
-                middle = r // 10 % 10
-                pruned = [v for v in pruned if v != middle]
-        # avoid completing an equivalent set with one repeated value
-        equi = table[r % 100::100]
+    def _prune(self, r: int, allowed: list[int]) -> list[int]:
+        """``allowed`` less the value that would complete r's equivalent
+        set with one repeated value, or ``allowed`` if that leaves none."""
+        equi = self.table[r % 100::100]
         if equi.count(-1) == 1 and len(set(equi)) == 2:
-            pruned = [v for v in pruned if v not in equi]
-        return pruned or allowed
+            return [v for v in allowed if v not in equi] or allowed
+        return allowed
 
 
 def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
@@ -535,15 +521,29 @@ def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
     """Heuristically assemble 10-state PRNG candidate rules.
 
     Values are assigned to the staged primary RMT sets in cardinality
-    order, keeping sibling sets injective, avoiding constant or fully
-    self-replicating sets, and keeping same-value runs shorter than
-    ``max_run`` where a value allows it (a run through an RMT counts the
-    RMT itself, so ``max_run`` must be at least 2).
-    Finished rules must pass :func:`equivalent_sets_acceptable` and
-    :func:`verify_rule`; failures are discarded and retried.  Each call
-    logs its attempts, dead ends and rejections, and the RMTs that the
-    dead-end attempts had assigned, as one DEBUG record on the
-    ``ringca.synthesis`` logger.
+    order, keeping sibling sets injective, closing no constant or
+    self-replicating cycle of 2..4 RMTs, and keeping same-value runs
+    shorter than ``max_run`` where a value allows it (a run through an
+    RMT counts the RMT itself, so ``max_run`` must be at least 2).  An
+    attempt that meets an RMT with no safe value is a dead end; a
+    finished rule that fails :func:`equivalent_sets_acceptable` is
+    rejected.  Both are retried.  Each call logs its attempts, dead ends
+    and rejections, and the RMTs that the dead-end attempts had assigned,
+    as one DEBUG record on the ``ringca.synthesis`` logger.
+
+    Every finished rule passes ``verify_rule(rule, 4)``, so it is not
+    asked:
+
+    - every RMT but the ten homogeneous ones is set by
+      :meth:`_DecimalAssembler.assign_cycle`, with a value that
+      :meth:`_DecimalAssembler._runs` kept;
+    - an elementary cycle of 2..4 RMTs holds no homogeneous RMT, since
+      those are the de Bruijn graph's self-loops;
+    - so the last RMT of such a cycle to be assigned was scored by
+      ``_runs`` while the rest of the cycle was already in ``succ``;
+    - ``_runs`` rejects exactly the v-valued and the self-replicating
+      closed walks of at most 4 RMTs through r, which are what
+      ``verify_rule(rule, 4)`` looks for.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -554,7 +554,7 @@ def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
     rng = Lcg(seed)
     stages = _decimal_stages()
     out: list[Rule] = []
-    attempts = dead_ends = unequal = unverified = lost = 0
+    attempts = dead_ends = unequal = lost = 0
     try:
         while len(out) < count:
             if attempts >= max_attempts_per_rule * count:
@@ -570,12 +570,10 @@ def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
             if -1 in table:  # every RMT is covered by the stages
                 raise AssertionError("staged sets failed to cover the rule table")
             rule = Rule(10, 3, table)
-            if not equivalent_sets_acceptable(rule):
-                unequal += 1
-            elif not verify_rule(rule):
-                unverified += 1
-            else:
+            if equivalent_sets_acceptable(rule):
                 out.append(rule)
+            else:
+                unequal += 1
     finally:
         # imported here: at the top it would add about 8 ms, some 8%, to
         # importing ringca.cli (2-core Xeon, Python 3.11.7), for a record
@@ -584,9 +582,8 @@ def synthesize_decimal(count: int, seed: int = 1, max_run: int = 3,
         logging.getLogger(__name__).debug(
             "synthesize_decimal(%d, seed=%d, max_run=%d): %d attempts, "
             "%d dead ends, %d rejected by equivalent_sets_acceptable, "
-            "%d rejected by verify_rule, %d accepted, %d RMTs lost to dead "
-            "ends", count, seed, max_run, attempts, dead_ends, unequal,
-            unverified, len(out), lost)
+            "%d accepted, %d RMTs lost to dead ends", count, seed, max_run,
+            attempts, dead_ends, unequal, len(out), lost)
     return out
 
 

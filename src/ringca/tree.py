@@ -372,10 +372,9 @@ def _covers(progressions, p: int) -> bool:
 
 
 def _state_claims(levels: set[int]) -> set[tuple[int, int]]:
-    """Claims of one level set; {q, q + 1} is a self-loop, every level >= q."""
+    """Claims of one level set: its least level q on its own, and q's loop
+    to each other level, so {q, q + 1} is a self-loop, every level >= q."""
     q = min(levels)
-    if q + 1 in levels:
-        return {(q, 1)}
     claims = {(q, 0)}
     for l in levels:
         if l > q:
@@ -470,8 +469,6 @@ class _Builder:
                 self._claims_grew(nd, ((i, 0),))
                 self._update_subtree(uid)
             return
-        if q + 1 in nd.levels:
-            return  # a self-loop already holds every level from q on
         new_loop = i - q
         if new_loop == 1:
             nd.levels = {i - 1, i}

@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import json
 import os
 import random
@@ -8,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ringca
 from ringca import debruijn, prng, synthesis
@@ -545,3 +548,126 @@ class TestEntryPoints:
         assert proc.wait(timeout=60) == 0
         assert proc.stderr.read() == b""
         proc.stderr.close()
+
+
+# -- any argv ends in exit 0, 1 or 2 ----------------------------------------
+
+_INTEGER = st.integers(-2, 12).map(str)
+_NUMBER = st.one_of(_INTEGER, _INTEGER, _INTEGER,
+                    st.sampled_from(["", "x", "1.5", "0x10", "1_0"]))
+_TEXT = st.text("0123456789a- ", max_size=12)
+_START = st.one_of(st.text("01", max_size=12), st.text("012", max_size=12), _TEXT)
+# rule sources; {tmp} is the directory that argv_dir fills
+_VALID_RULES = st.sampled_from([
+    ("--d", "2", "--m", "3", "--rule", "01001011"),
+    ("--d", "3", "--m", "3", "--rule", FLOW_RULE),
+    ("--perm", "8572036419"),
+    ("--rule-file", "{tmp}/rule.txt"),
+])
+_RULES = st.one_of(
+    _VALID_RULES, _VALID_RULES,
+    st.sampled_from([
+        ("--rule-file", "{tmp}/bad.txt"),
+        ("--rule-file", "{tmp}/missing.txt"),
+        ("--rule-file", "{tmp}"),
+        ("--rule", "01001011", "--perm", "8572036419"),
+        (),
+    ]),
+    st.tuples(st.just("--d"), st.sampled_from(["-1", "0", "1", "2", "3", "10"]),
+              st.just("--m"), st.sampled_from(["-1", "0", "1", "2", "3", "40"]),
+              st.just("--rule"), _TEXT),
+    st.tuples(st.just("--perm"), _TEXT))
+_OUT = st.sampled_from(["{tmp}/out", "{tmp}", "{tmp}/missing/out"])
+
+
+def _opt(flag, values=None):
+    """A strategy for one option's argv tokens."""
+    if values is None:
+        return st.just((flag,))
+    return values.map(lambda value: (flag, value))
+
+
+def _options(required=(), **optional):
+    """A strategy for the argv tokens of the ``required`` options and any
+    subset of the ``optional`` ones; the options are keyword arguments
+    mapped to their :func:`_opt` strategies."""
+    return st.fixed_dictionaries(dict(required), optional=optional).map(
+        lambda drawn: [tok for opt in drawn.values() for tok in opt])
+
+
+# every verb's options, with sizes, steps and counts bounded so that an
+# example takes milliseconds: classify sees no valid d = 10 rule, whose
+# tree takes some 0.2 s; cycle always has a step bound, since an 11-cell
+# d = 10 ring can take 40 s to repeat; and a decimal synthesis takes a
+# seed whose one rule takes about 10 ms (2-core Xeon; seed 1 takes 190 ms)
+_VERBS = {
+    "classify": _options(json=_opt("--json"), stats=_opt("--stats")),
+    "check": _options({"size": _opt("--size", _NUMBER)},
+                      json=_opt("--json"), stats=_opt("--stats")),
+    "info": _options(max_cycle=_opt("--max-cycle", st.integers(-1, 4).map(str)),
+                     json=_opt("--json")),
+    "synthesize": _options(
+        {"strategy": _opt("--strategy",
+                          st.sampled_from(["I", "II", "III", "decimal", "x"])),
+         "seed": _opt("--seed", st.sampled_from(["2", "6", "9", "x", ""]))},
+        d=_opt("--d", st.integers(-1, 4).map(str)),
+        m=_opt("--m", st.integers(-1, 4).map(str)),
+        count=_opt("--count", st.integers(-1, 1).map(str)),
+        filter=_opt("--filter"), strict=_opt("--strict"),
+        flow=_opt("--min-reverse-flow", _NUMBER), as_perm=_opt("--as-perm"),
+        stats=_opt("--stats")),
+    "evolve": _options({"start": _opt("--start", _START)},
+                       steps=_opt("--steps", _NUMBER)),
+    "cycle": _options({"start": _opt("--start", _START),
+                       "max_steps": _opt("--max-steps",
+                                         st.integers(-1, 300).map(str))},
+                      json=_opt("--json"), stats=_opt("--stats")),
+    "spacetime": _options({"start": _opt("--start", _START),
+                           "out": _opt("--out", _OUT)},
+                          steps=_opt("--steps", _NUMBER)),
+    "prng": _options(
+        {"scheme": _opt("--scheme", st.sampled_from(["tri", "dec", "bin", "x"]))},
+        width=_opt("--width", _NUMBER),
+        blocks=_opt("--blocks", st.integers(-1, 3).map(str)),
+        seed=_opt("--seed", st.text("0123456789", max_size=12)),
+        count=_opt("--count", _NUMBER), out=_opt("--out", _OUT),
+        format=_opt("--format", st.sampled_from(["raw", "decimal-lines", "x"]))),
+}
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(sorted(_VERBS)))
+    rule = () if verb == "synthesize" else draw(_RULES)
+    if verb == "classify" and rule == ("--perm", "8572036419"):
+        rule = ("--perm", "012345678")
+    argv = [verb, *rule, *draw(_VERBS[verb])]
+    stray = draw(st.sampled_from([None, None, None, "--bogus", "extra", "--json"]))
+    return argv if stray is None else [*argv, stray]
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    (tmp / "rule.txt").write_text("d=2 m=3 rule=01001011\n")
+    (tmp / "bad.txt").write_text("d=2 m=3\n")
+    return tmp
+
+
+class TestAnyArgv:
+    @given(_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_codes(self, argv_dir, argv):
+        # a usage error exits 2 through argparse; a domain error returns 1
+        # with one line on stderr; nothing else escapes
+        argv = [tok.replace("{tmp}", str(argv_dir)) for tok in argv]
+        out, err = io.TextIOWrapper(io.BytesIO()), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert err.getvalue().startswith("error: "), argv
+            assert err.getvalue().count("\n") == 1, argv

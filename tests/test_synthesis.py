@@ -635,9 +635,10 @@ class TestAssemblerScans:
 
 class _ReferenceAssembler(_DecimalAssembler):
     """The assembler's value assignment before the one-walk scorer: two
-    scans per value, and the last-member test of ``_prune`` on every RMT.
-    ``assign_cycle`` and ``_prune`` are kept as they were; the two scans
-    are the reference enumerators above."""
+    scans per value.  ``assign_cycle`` and ``_prune`` are kept as they
+    were, less the bans of ``_prune`` on a set's last member, which only
+    repeated the bad-cycle scan; the two scans are the reference
+    enumerators above."""
 
     def _run_through(self, r, v):
         return _reference_run_through(self.table, self.max_run, r, v)
@@ -653,7 +654,7 @@ class _ReferenceAssembler(_DecimalAssembler):
             todo.sort(key=lambda r: table[r - r % 10:r - r % 10 + 10].count(-1))
         for r in todo:
             allowed = sorted(set(range(10)).difference(table[r - r % 10:r - r % 10 + 10]))
-            allowed = self._prune(cycle, r, allowed)
+            allowed = self._prune(r, allowed)
             runs = {v: self._run_through(r, v) for v in allowed
                     if not self._closes_bad_cycle(r, v)}
             if not runs:
@@ -666,18 +667,8 @@ class _ReferenceAssembler(_DecimalAssembler):
                 v = min(runs, key=lambda v: (runs[v], v))
             self._set(r, v)
 
-    def _prune(self, cycle, r, allowed):
-        others = [x for x in cycle if x != r]
+    def _prune(self, r, allowed):
         pruned = list(allowed)
-        if all(self.table[x] != -1 for x in others):
-            # last member: the set must not become constant ...
-            values = {self.table[x] for x in others}
-            if len(values) == 1:
-                pruned = [v for v in pruned if v not in values]
-            # ... nor entirely self-replicating
-            middle = (r // 10) % 10
-            if all(self.table[x] == (x // 10) % 10 for x in others):
-                pruned = [v for v in pruned if v != middle]
         # avoid completing an equivalent set with one repeated value
         equi = self.table[r % 100::100]
         if equi.count(-1) == 1 and len(set(equi)) == 2:
@@ -700,7 +691,8 @@ class TestAssignCycle:
                                max_run):
         # one staged set of 2, 3 or 4 RMTs assigned on a random partial
         # table; shapes other than "random" leave one member r unassigned
-        # and give it a neighbourhood that the pruning acts on
+        # and give it a neighbourhood that the pruning or the bad-cycle
+        # scan acts on
         cycle = _STAGES[stage][index % len(_STAGES[stage])]
         r = cycle[at % len(cycle)]
         rnd = random.Random(seed)
@@ -717,8 +709,8 @@ class TestAssignCycle:
                 _put(table, x, c)
         elif shape == "forced":
             # r's sibling set leaves it c, which the other members hold,
-            # and e, which the rest of its equivalent set holds: both are
-            # pruned, so both stay allowed, and c closes a constant cycle
+            # and e, which the rest of its equivalent set holds: e is
+            # pruned, and c closes a constant cycle, so the set dead-ends
             e = (c + 1 + rnd.randrange(9)) % 10
             for x in cycle:
                 _put(table, x, c)
@@ -747,10 +739,10 @@ class TestAssignCycle:
     def test_forced_fallback_pinned(self):
         # the last member r = 010 of the staged set (010, 101) may take 4,
         # which 101 holds, or 7, which the rest of its equivalent set
-        # holds: the constant-set ban drops 4 and the equivalent-set ban
-        # drops 7, so _prune falls back to both, and _runs keeps only 7,
-        # since 4 closes the constant cycle 010 -> 101.  Without the
-        # last-member bans the prune keeps only 4 and the set dead-ends.
+        # holds: the equivalent-set ban drops 7, and _runs drops 4, since
+        # it closes the constant cycle 010 -> 101, so the set dead-ends.
+        # Taking 7 would leave the equivalent set constant, which
+        # equivalent_sets_acceptable rejects once the rule is finished.
         cycle, r = (10, 101), 10
         assert cycle in _STAGES[1]
         table = [-1] * 1000
@@ -760,11 +752,11 @@ class TestAssignCycle:
         for x, value in zip(range(11, 19), (0, 1, 2, 3, 5, 6, 8, 9)):
             table[x] = value
         asm = _assembler(table, 1, 3)
-        assert asm._prune(cycle, r, [4, 7], True) == [4, 7]
-        assert asm._prune(cycle, r, [4, 7], False) == [4]
+        assert asm._prune(r, [4, 7]) == [4]
         assert asm._runs(r, [4, 7]) == [(1, 7)]
-        asm.assign_cycle(cycle)
-        assert asm.table[r] == 7
+        with pytest.raises(_DeadEnd):
+            asm.assign_cycle(cycle)
+        assert asm.table[r] == -1
 
 
 def _rebuilt_succ(table):
@@ -824,8 +816,8 @@ def _stats(caplog, *args, **kwargs):
     (record,) = [r for r in caplog.records if r.name == "ringca.synthesis"]
     assert record.levelno == logging.DEBUG
     counts = re.search(r"(\d+) attempts, (\d+) dead ends, (\d+) rejected by "
-                       r"equivalent_sets_acceptable, (\d+) rejected by "
-                       r"verify_rule, (\d+) accepted", record.getMessage())
+                       r"equivalent_sets_acceptable, (\d+) accepted",
+                       record.getMessage())
     return rules, tuple(int(c) for c in counts.groups())
 
 
@@ -833,24 +825,20 @@ class TestSynthesisStats:
     def test_seeded_counts(self, caplog):
         rules, counts = _stats(caplog, 6, seed=20260811)
         assert len(rules) == 6
-        assert counts == (37, 31, 0, 0, 6)
+        assert counts == (37, 31, 0, 6)
         # the RMTs that the 31 dead-end attempts had assigned
         (record,) = [r for r in caplog.records if r.name == "ringca.synthesis"]
         assert record.getMessage().endswith(
             ", 6 accepted, 27234 RMTs lost to dead ends")
 
     def test_rejections_counted(self, caplog, monkeypatch):
-        # reject the first finished rule by each test in turn
-        verdicts = {"equivalent_sets_acceptable": [False],
-                    "verify_rule": [False]}
-        for name, queue in verdicts.items():
-            real = getattr(synthesis, name)
-            monkeypatch.setattr(synthesis, name, lambda rule, real=real, queue=queue:
-                                queue.pop() if queue else real(rule))
-        rules, (attempts, dead_ends, unequal, unverified, accepted) = \
-            _stats(caplog, 1, seed=6)
-        assert (unequal, unverified, accepted) == (1, 1, 1) and len(rules) == 1
-        assert attempts == dead_ends + 3
+        # reject the first finished rule
+        queue, real = [False], equivalent_sets_acceptable
+        monkeypatch.setattr(synthesis, "equivalent_sets_acceptable",
+                            lambda rule: queue.pop() if queue else real(rule))
+        rules, (attempts, dead_ends, unequal, accepted) = _stats(caplog, 1, seed=6)
+        assert (unequal, accepted) == (1, 1) and len(rules) == 1
+        assert attempts == dead_ends + 2
 
     def test_silent_by_default(self, capsys):
         synthesize_decimal(1, seed=6)
@@ -918,6 +906,16 @@ class TestSynthesizeDecimal:
         digest = hashlib.sha256("\n".join(r.string for r in rules).encode())
         assert digest.hexdigest() == (
             "0443fccf3052f992656e7c0c290e34ac5417d1f394e94ba07af539dbc710396a")
+
+    @pytest.mark.parametrize("max_run", [2, 3, 4])
+    def test_no_short_bad_cycles(self, max_run):
+        # synthesis asks only its assembler's scan whether a value closes
+        # a short bad cycle; the finished rules are checked here by the
+        # cycle search and by brute force on rings of 2..4 cells
+        for seed in range(1, 11):
+            (rule,) = synthesize_decimal(1, seed=seed, max_run=max_run)
+            assert verify_rule(rule), (seed, rule.string)
+            assert bad_short_ring(rule, 4) is None, (seed, rule.string)
 
     def test_no_short_constant_cycles(self, rules):
         # constant cycles up to the staged cardinality cap never survive
