@@ -63,9 +63,7 @@ def _add_rule_args(p: argparse.ArgumentParser) -> None:
 
 def _cmd_classify(args) -> int:
     rule = _load_rule(args)
-    stats = _debug_to_stderr("ringca.tree") if args.stats \
-        else contextlib.nullcontext()
-    with stats:
+    with _debug_to_stderr("ringca.tree", args.stats):
         report = tree.classify(rule)
     if args.json:
         print(json.dumps(report.to_dict()))
@@ -84,9 +82,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_check(args) -> int:
     rule = _load_rule(args)
-    stats = _debug_to_stderr("ringca.tree") if args.stats \
-        else contextlib.nullcontext()
-    with stats:
+    with _debug_to_stderr("ringca.tree", args.stats):
         result = tree.check_reversible(rule, args.size)
     if args.json:
         print(json.dumps(dataclasses.asdict(result)))
@@ -139,9 +135,13 @@ def _cmd_info(args) -> int:
 
 
 @contextlib.contextmanager
-def _debug_to_stderr(name: str):
+def _debug_to_stderr(name: str, on: bool):
     """Print the DEBUG records of logger ``name`` to stderr while the block
-    runs.  (logging is imported only here, to keep the cold start small.)"""
+    runs, if ``on`` (the ``--stats`` flag).  (logging is imported only
+    here, to keep the cold start small.)"""
+    if not on:
+        yield
+        return
     import logging
     log = logging.getLogger(name)
     handler = logging.StreamHandler(sys.stderr)
@@ -155,10 +155,8 @@ def _debug_to_stderr(name: str):
 
 
 def _cmd_synthesize(args) -> int:
-    stats = _debug_to_stderr("ringca.synthesis") if args.stats \
-        else contextlib.nullcontext()
     if args.strategy == "decimal":
-        with stats:
+        with _debug_to_stderr("ringca.synthesis", args.stats):
             rules = synthesis.synthesize_decimal(args.count, seed=args.seed)
     else:
         given = {name: getattr(args, name)
@@ -167,7 +165,7 @@ def _cmd_synthesize(args) -> int:
         spec = synthesis.StrategySpec(args.strategy, seed=args.seed, **given)
         rules = synthesis.generate_strategy(spec, args.count)
         if args.filter:
-            with stats:
+            with _debug_to_stderr("ringca.synthesis", args.stats):
                 rules = synthesis.filter_randomness_candidates(
                     rules, spec, strict=args.strict)
     for rule in rules:
@@ -187,9 +185,7 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_cycle(args) -> int:
     rule = _load_rule(args)
-    stats = _debug_to_stderr("ringca.engine") if args.stats \
-        else contextlib.nullcontext()
-    with stats:
+    with _debug_to_stderr("ringca.engine", args.stats):
         result = engine.cycle_length(rule, args.start, args.max_steps)
     if args.json:
         print(json.dumps(dataclasses.asdict(result)))

@@ -604,7 +604,8 @@ def rule_from_permutation(perm) -> Rule:
     the cardinality-2 primary sets.
     """
     if isinstance(perm, str):
-        digits = tuple(int(c) for c in perm)
+        # a character that is not a digit reads -1, which the check rejects
+        digits = tuple(map("0123456789".find, perm))
     else:
         digits = tuple(perm)
     if sorted(digits) != list(range(10)):

@@ -14,7 +14,11 @@ sets with loop links.  A node present at levels q and q + L reappears at
 q + 2L, q + 3L, ...; projecting those occurrences onto the special levels
 n - iota decides reversibility for arbitrary n and yields arithmetic
 progressions of sizes ("n = modulus*j + offset") at which the CA is
-irreversible.
+irreversible.  One loop rule keeps a node's level set, with least level
+q, as the node is met again at level i: below q the occurrence is
+ignored; when a loop L of the set divides i - q it is implied, and
+nothing is recorded; when i - q shares a factor g > 1 with a loop the
+set collapses to {i - g, i}; otherwise i joins the set.
 
 Each unique node is judged once, when it is created: whether it fails the
 generic balance and d^m count, and at which last levels n - iota its
@@ -409,6 +413,16 @@ class _Builder:
     ``ahead`` is made again after those records whenever the parent's
     levels were replaced or grew; they never shrink in place.
 
+    A re-occurrence at level i follows the module docstring's one loop
+    rule (``_record_occurrence``): the set's loops l - q are read
+    shortest first, and the first that divides i - q, or shares a factor
+    g > 1 with it, decides.  Since a loop joins the set only when it
+    shares no factor with any loop there, a level the set already holds
+    is implied by its own loop and changes nothing.  Every change of the
+    levels is offered, each level plus one, to the node's expanded
+    children (``_offer``), the same step by which ``_build`` records a
+    parent's levels at a known child.
+
     Two invariants make these reports complete:
 
     - a node's claims always contain the claims of its current level set
@@ -440,9 +454,7 @@ class _Builder:
         """Append a judged node; it keeps copies of ``levels`` and
         ``claims``, which its new siblings share."""
         uid = len(self.nodes)
-        generic_ok, bad_iotas = self.ctx.verdict(gamma)
-        if not generic_ok:
-            self._found(((created_level + self.ctx.m, 1),))
+        bad_iotas = self._judge(gamma, claims, created_level)
         if uid >= _MAX_NODES:
             raise TreeSizeError(f"more than {_MAX_NODES} unique nodes")
         self.nodes.append(_Node(gamma, levels.copy(), claims.copy(), bad_iotas,
@@ -450,73 +462,59 @@ class _Builder:
         self.index[gamma] = uid
         return uid
 
+    def _judge(self, gamma, claims: set[tuple[int, int]], created_level: int):
+        """The bad last levels of a new node, after reporting its generic
+        failure, if any."""
+        generic_ok, bad_iotas = self.ctx.verdict(gamma)
+        if not generic_ok:
+            self._found(((created_level + self.ctx.m, 1),))
+        return bad_iotas
+
     def _claims_grew(self, nd: _Node, new) -> None:
         """Report the bad last levels of ``nd`` at its ``new`` claims."""
         if nd.bad_iotas:
             self._found((s + iota, p) for iota in nd.bad_iotas for s, p in new)
 
     def _record_occurrence(self, uid: int, i: int) -> None:
-        """Apply the loop-relevance rules for a re-occurrence at level i."""
+        """Apply the one loop rule to a re-occurrence at level i: ignored
+        below the least level q, implied by a loop that divides i - q,
+        a collapse to {i - g, i} on a loop sharing a factor g > 1 with
+        i - q, and otherwise a new level."""
         nd = self.nodes[uid]
-        if i in nd.levels:
-            return
-        q = min(nd.levels)
+        q, *rest = sorted(nd.levels)
         if i < q:
-            # level overwrites may have raised the minimum; keep the level
-            # set anchored to the loop tail and record the point on its own
-            if (i, 0) not in nd.claims:
-                nd.claims.add((i, 0))
-                self._claims_grew(nd, ((i, 0),))
-                self._update_subtree(uid)
             return
-        new_loop = i - q
-        if new_loop == 1:
-            nd.levels = {i - 1, i}
-            self._changed(uid)
-            return
-        for l in sorted(nd.levels):
-            old_loop = l - q
-            if old_loop == 0:
-                continue
-            g = math.gcd(old_loop, new_loop)
-            if g == old_loop:
-                return  # old loop prevails; the new one adds nothing
-            if old_loop == 2 and g == 1:
-                nd.levels = {i - 1, i}  # loop 2 + odd loop: every level
-                self._changed(uid)
-                return
+        for l in rest:
+            g = math.gcd(l - q, i - q)
+            if g == l - q:
+                return  # the old loop implies the occurrence
             if g > 1:
                 nd.levels = {i - g, i}
-                self._changed(uid)
-                return
-        nd.levels.add(i)
+                break
+        else:
+            nd.levels.add(i)
         self._changed(uid)
 
     def _changed(self, uid: int) -> None:
+        """Add the claims of the node's new level set and offer its levels
+        to its expanded children."""
         nd = self.nodes[uid]
         new = _state_claims(nd.levels) - nd.claims
         if not new:
             return  # nothing new to propagate; also breaks link cycles
         nd.claims |= new
         self._claims_grew(nd, new)
-        self._update_subtree(uid)
+        if nd.children is not None:
+            for c in set(nd.children):
+                self._offer(nd, c)
 
-    def _update_subtree(self, uid: int) -> None:
-        """Propagate a node's new levels to its (already expanded) children."""
-        nd = self.nodes[uid]
-        if nd.children is None:
-            return
-        for c in set(nd.children):
-            child = self.nodes[c]
-            base = min(nd.levels) + 1
-            if base in nd.levels and min(child.levels) + 1 not in child.levels:
-                # a self-loop makes every child a self-loop one level down
-                child.levels = {base, base + 1}
-                self._changed(c)
-                continue
-            for l in sorted(nd.levels):
-                if l + 1 not in child.levels:
-                    self._record_occurrence(c, l + 1)
+    def _offer(self, parent: _Node, uid: int) -> None:
+        """Record at child ``uid`` each of the parent's levels plus one
+        that the child's levels lack."""
+        child = self.nodes[uid]
+        for l in sorted(parent.levels):
+            if l + 1 not in child.levels:
+                self._record_occurrence(uid, l + 1)
 
     # -- construction -----------------------------------------------------
 
@@ -559,16 +557,12 @@ class _Builder:
                             reported.add(child.bad_iotas)
                             self._claims_grew(child, shifted)
                         next_frontier.append(uid)
-                    else:
-                        child = self.nodes[uid]
-                        if not ahead <= child.levels:
-                            for l in sorted(parent.levels):
-                                if l + 1 not in child.levels:
-                                    self._record_occurrence(uid, l + 1)
-                            if parent.levels is not levels or len(levels) != size:
-                                levels = parent.levels
-                                size = len(levels)
-                                ahead = {l + 1 for l in levels}
+                    elif not ahead <= self.nodes[uid].levels:
+                        self._offer(parent, uid)
+                        if parent.levels is not levels or len(levels) != size:
+                            levels = parent.levels
+                            size = len(levels)
+                            ahead = {l + 1 for l in levels}
                     children.append(uid)
                 parent.children = children
             frontier = next_frontier
@@ -647,13 +641,14 @@ class _BipermutiveBuilder(_FixedSizeBuilder):
     """Fixed-size check of a bipermutive rule (strategies I and II).
 
     Every node of its tree passes the generic count (see the module
-    docstring), so a node is judged for its last levels only, and only
-    once one of its claims reaches a last level n - iota: a bad iota's
-    report (s + iota, p) covers n exactly when its claim (s, p) covers
-    n - iota, and the check stops only on a report that covers n.  Until
-    then the node's ``bad_iotas`` is None.  Children that share a copy
-    of claims are all judged or all not, so ``_build``'s one report per
-    set of bad iotas stays exact.
+    docstring), so a node is judged for its last levels only (``_judge``
+    at creation, ``_claims_grew`` later), and only once one of its claims
+    reaches a last level n - iota: a bad iota's report (s + iota, p)
+    covers n exactly when its claim (s, p) covers n - iota, and the check
+    stops only on a report that covers n.  Until then the node's
+    ``bad_iotas`` is None.  Children that share a copy of claims are all
+    judged or all not, so ``_build``'s one report per set of bad iotas
+    stays exact.
     """
 
     def __init__(self, rule: Rule, n: int):
@@ -665,18 +660,10 @@ class _BipermutiveBuilder(_FixedSizeBuilder):
         """Whether one of the claims covers a last level n - iota."""
         return any(_covers(claims, level) for level in self.last_levels)
 
-    def _new_node(self, gamma, levels: set[int], claims: set[tuple[int, int]],
-                  created_level: int) -> int:
-        uid = len(self.nodes)
-        if uid >= _MAX_NODES:
-            raise TreeSizeError(f"more than {_MAX_NODES} unique nodes")
+    def _judge(self, gamma, claims: set[tuple[int, int]], created_level: int):
         if claims is not self._reached[0]:  # siblings share ``claims``
             self._reached = (claims, self._reaches(claims))
-        bad_iotas = self.ctx.verdict(gamma)[1] if self._reached[1] else None
-        self.nodes.append(_Node(gamma, levels.copy(), claims.copy(), bad_iotas,
-                                created_level))
-        self.index[gamma] = uid
-        return uid
+        return self.ctx.verdict(gamma)[1] if self._reached[1] else None
 
     def _claims_grew(self, nd: _Node, new) -> None:
         if nd.bad_iotas is None:
@@ -820,16 +807,18 @@ class _ClassifyBuilder(_Builder):
         Every tail and progression starts at or below ``top``, the largest
         start among them, so from ``top`` on whether they cover n depends
         only on n modulo the lcm of their periods: they cover a tail iff
-        they cover the one window [top, top + lcm).  B is then one past the
+        they cover the one window [top, top + lcm), which a tail, starting
+        at or below ``top``, covers on its own.  B is then one past the
         last smaller size that the evidence misses.
         """
         spans = [(s, p) for s, p in self.evidence if p]  # tails, progressions
         if not spans:
             return None
         top = max(s for s, _ in spans)
-        lam = math.lcm(*(p for _, p in spans))
-        if not all(_covers(spans, n) for n in range(top, top + lam)):
-            return None
+        if all(p > 1 for _, p in spans):
+            lam = math.lcm(*(p for _, p in spans))
+            if not all(_covers(spans, n) for n in range(top, top + lam)):
+                return None
         return 1 + max((n for n in range(1, top) if not _covers(self.evidence, n)),
                        default=0)
 

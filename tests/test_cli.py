@@ -109,6 +109,13 @@ class TestCheck:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("perm",
+                             ["aa3", "0123456788", "01234567890", "012345678 9"])
+    def test_bad_permutation(self, capsys, perm):
+        code, out, err = invoke(capsys, "check", "--perm", perm, "--size", "5")
+        assert code == 1 and out == ""
+        assert err == "error: need a permutation of the digits 0-9\n"
+
     @pytest.mark.parametrize("d, m", [("2", "1000000000"), ("10", "5000")])
     def test_huge_neighborhood(self, capsys, d, m):
         start = time.perf_counter()

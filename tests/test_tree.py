@@ -21,7 +21,7 @@ from ringca.tree import (Classification, IrrevExpression, ReversibilityCheck,
 from conftest import (PERMUTATION_RULES, STRATEGY_I_SAMPLE, STRATEGY_II_SAMPLE,
                       brute_force_reversible, label_walk_bijective_sizes,
                       pair_graph_bijective)
-from test_tree_golden import golden_rules
+from test_tree_golden import golden_rules, random_tree_rules
 from test_tree_tables import ROWS
 
 
@@ -951,21 +951,6 @@ class _PlainBipermutive(_BipermutiveBuilder, _PlainBuild):
 
 PLAIN = {_ClassifyBuilder: _PlainClassify, _FixedSizeBuilder: _PlainFixedSize,
          _BipermutiveBuilder: _PlainBipermutive}
-
-
-def random_tree_rules(count, seed):
-    """``count`` seeded random balanced rules with d <= 3 that are not
-    strictly irreversible, so that classify builds their trees."""
-    rng = random.Random(seed)
-    rules = []
-    while len(rules) < count:
-        d, m = rng.choice([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
-        table = [v for v in range(d) for _ in range(d ** (m - 1))]
-        rng.shuffle(table)
-        rule = Rule(d, m, tuple(table))
-        if not _strictly_irreversible(rule):
-            rules.append(rule)
-    return rules
 
 
 class TestNodeState:
