@@ -14,11 +14,20 @@ sets with loop links.  A node present at levels q and q + L reappears at
 q + 2L, q + 3L, ...; projecting those occurrences onto the special levels
 n - iota decides reversibility for arbitrary n and yields arithmetic
 progressions of sizes ("n = modulus*j + offset") at which the CA is
-irreversible.  One loop rule keeps a node's level set, with least level
-q, as the node is met again at level i: below q the occurrence is
-ignored; when a loop L of the set divides i - q it is implied, and
-nothing is recorded; when i - q shares a factor g > 1 with a loop the
-set collapses to {i - g, i}; otherwise i joins the set.
+irreversible.
+
+One loop rule keeps a node's level set, with least level q and a loop
+l - q to each other level l, as the node is met again at level i.  Below
+q the occurrence is ignored.  Otherwise the loops are read shortest
+first, and the first that decides wins: one that divides i - q implies
+the occurrence, and nothing is recorded; one that shares a factor g > 1
+with i - q collapses the set to {i - g, i}, and so does a loop 2 with an
+odd i - q, or any loop with i - q = 1, for g = 1, since the two loops
+then reach every level from i - 1 on.  If no loop decides, i joins the
+set.  Loops in a set therefore share no factor, and a set holding q + 1
+is the self-loop {q, q + 1}; a node that becomes one makes each expanded
+child a self-loop one level down, at {q + 1, q + 2}, unless the child
+already is one.
 
 Each unique node is judged once, when it is created: whether it fails the
 generic balance and d^m count, and at which last levels n - iota its
@@ -413,15 +422,11 @@ class _Builder:
     ``ahead`` is made again after those records whenever the parent's
     levels were replaced or grew; they never shrink in place.
 
-    A re-occurrence at level i follows the module docstring's one loop
-    rule (``_record_occurrence``): the set's loops l - q are read
-    shortest first, and the first that divides i - q, or shares a factor
-    g > 1 with it, decides.  Since a loop joins the set only when it
-    shares no factor with any loop there, a level the set already holds
-    is implied by its own loop and changes nothing.  Every change of the
-    levels is offered, each level plus one, to the node's expanded
-    children (``_offer``), the same step by which ``_build`` records a
-    parent's levels at a known child.
+    A re-occurrence follows the module docstring's loop rule
+    (``_record_occurrence``).  Every change of a node's levels reaches
+    its expanded children (``_changed``): as a self-loop, or through
+    ``_offer``, the step by which ``_build`` records a parent's levels at
+    a known child.
 
     Two invariants make these reports complete:
 
@@ -476,10 +481,8 @@ class _Builder:
             self._found((s + iota, p) for iota in nd.bad_iotas for s, p in new)
 
     def _record_occurrence(self, uid: int, i: int) -> None:
-        """Apply the one loop rule to a re-occurrence at level i: ignored
-        below the least level q, implied by a loop that divides i - q,
-        a collapse to {i - g, i} on a loop sharing a factor g > 1 with
-        i - q, and otherwise a new level."""
+        """Apply the module docstring's loop rule to a re-occurrence at a
+        level i that the node's set lacks."""
         nd = self.nodes[uid]
         q, *rest = sorted(nd.levels)
         if i < q:
@@ -488,7 +491,7 @@ class _Builder:
             g = math.gcd(l - q, i - q)
             if g == l - q:
                 return  # the old loop implies the occurrence
-            if g > 1:
+            if g > 1 or l - q == 2 or i - q == 1:
                 nd.levels = {i - g, i}
                 break
         else:
@@ -496,7 +499,7 @@ class _Builder:
         self._changed(uid)
 
     def _changed(self, uid: int) -> None:
-        """Add the claims of the node's new level set and offer its levels
+        """Add the claims of the node's new level set and pass its levels
         to its expanded children."""
         nd = self.nodes[uid]
         new = _state_claims(nd.levels) - nd.claims
@@ -504,8 +507,15 @@ class _Builder:
             return  # nothing new to propagate; also breaks link cycles
         nd.claims |= new
         self._claims_grew(nd, new)
-        if nd.children is not None:
-            for c in set(nd.children):
+        if nd.children is None:
+            return
+        for c in set(nd.children):
+            child = self.nodes[c]
+            base = min(nd.levels) + 1
+            if base in nd.levels and min(child.levels) + 1 not in child.levels:
+                child.levels = {base, base + 1}  # a self-loop one level down
+                self._changed(c)
+            else:
                 self._offer(nd, c)
 
     def _offer(self, parent: _Node, uid: int) -> None:
@@ -807,18 +817,16 @@ class _ClassifyBuilder(_Builder):
         Every tail and progression starts at or below ``top``, the largest
         start among them, so from ``top`` on whether they cover n depends
         only on n modulo the lcm of their periods: they cover a tail iff
-        they cover the one window [top, top + lcm), which a tail, starting
-        at or below ``top``, covers on its own.  B is then one past the
+        they cover the one window [top, top + lcm).  B is then one past the
         last smaller size that the evidence misses.
         """
         spans = [(s, p) for s, p in self.evidence if p]  # tails, progressions
         if not spans:
             return None
         top = max(s for s, _ in spans)
-        if all(p > 1 for _, p in spans):
-            lam = math.lcm(*(p for _, p in spans))
-            if not all(_covers(spans, n) for n in range(top, top + lam)):
-                return None
+        lam = math.lcm(*(p for _, p in spans))
+        if not all(_covers(spans, n) for n in range(top, top + lam)):
+            return None
         return 1 + max((n for n in range(1, top) if not _covers(self.evidence, n)),
                        default=0)
 

@@ -13,8 +13,8 @@ from ringca.synthesis import (StrategySpec, generate_strategy,
 from ringca.tree import (Classification, IrrevExpression, ReversibilityCheck,
                          _BipermutiveBuilder, _ClassifyBuilder, _Context,
                          _Builder, _FixedSizeBuilder,
-                         _IrreversibleFound, _WideNodes,
-                         _strictly_irreversible, check_reversible,
+                         _IrreversibleFound, _Node, _WideNodes, _covers,
+                         _state_claims, _strictly_irreversible, check_reversible,
                          child_node, classify, merge_expressions,
                          restrict_last_levels, reversible_sizes, root_node)
 
@@ -906,7 +906,7 @@ class TestReportsComplete:
 class _PlainBuild(_Builder):
     """The child loop without per-parent sharing: each new child gets its
     own shifted levels and claims and reports its claims, and each known
-    child is offered every level of its parent."""
+    child is offered (``_offer``) every level of its parent."""
 
     def _build(self):
         self.nodes = []
@@ -929,8 +929,7 @@ class _PlainBuild(_Builder):
                         self._claims_grew(self.nodes[uid], shifted)
                         next_frontier.append(uid)
                     else:
-                        for l in sorted(parent.levels):
-                            self._record_occurrence(uid, l + 1)
+                        self._offer(parent, uid)
                     children.append(uid)
                 parent.children = children
             frontier = next_frontier
@@ -987,6 +986,40 @@ class TestNodeState:
                 assert got == self.state(PLAIN[cls], *args), (rule.string, cls, args)
                 builds += 1
         assert len(rules) > 350 and builds == 6 * len(rules)
+
+
+class TestLoopRule:
+    """The module docstring's loop rule on hand-made nodes, each created
+    at its least level, with no bad last levels."""
+
+    @staticmethod
+    def builder(*level_sets):
+        builder = _ClassifyBuilder(eca(90))
+        builder.evidence = set()
+        builder.nodes = [_Node(None, set(levels), _state_claims(set(levels)),
+                               frozenset(), min(levels)) for levels in level_sets]
+        return builder
+
+    def test_loop_two_and_odd_loop_reach_every_later_level(self):
+        # met at 5, 7 and 8, the node recurs at 5 + 2a + 3b: every level
+        # from 7 on, which the two loops as separate claims would miss at
+        # 10, 12, 16, ...
+        builder = self.builder({5, 7})
+        builder._record_occurrence(0, 8)
+        nd = builder.nodes[0]
+        assert nd.levels == {7, 8}
+        assert all(_covers(nd.claims, n) for n in range(7, 60))
+
+    def test_self_loop_makes_children_self_loops(self):
+        # a parent at every level from 3 on puts its child at every level
+        # from 4 on; offered 4 and 5 alone, a child met at level 1 would
+        # claim the loops 3 and 4 and miss level 6
+        builder = self.builder({3}, {1})
+        builder.nodes[0].children = [1, 1]
+        builder._record_occurrence(0, 4)
+        child = builder.nodes[1]
+        assert child.levels == {4, 5}
+        assert all(_covers(child.claims, n) for n in range(4, 60))
 
 
 # Reversible at n = 11 by a brute-force enumeration of the 3^11 rings and by
