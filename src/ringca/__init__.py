@@ -15,7 +15,7 @@ from .rules import (EquivalentRules, FlowReport, Rule, RuleError, eca,
 from .synthesis import (Lcg, StrategySpec, assignment_stages,
                         equivalent_sets_acceptable,
                         filter_randomness_candidates, generate_strategy,
-                        permutation_of, rule_from_permutation,
+                        iter_strategy, permutation_of, rule_from_permutation,
                         strategy_iii_rules, synthesize_decimal, verify_rule)
 from .tree import (Classification, IrrevExpression, ReversibilityCheck,
                    ReversibilityReport, check_reversible, child_node, classify,

@@ -163,7 +163,9 @@ def _cmd_synthesize(args) -> int:
                  for name in ("d", "m", "min_reverse_flow")
                  if getattr(args, name) is not None}
         spec = synthesis.StrategySpec(args.strategy, seed=args.seed, **given)
-        rules = synthesis.generate_strategy(spec, args.count)
+        # drawn one at a time: neither the filter nor the printing loop
+        # holds more than the rules it outputs
+        rules = synthesis.iter_strategy(spec, args.count)
         if args.filter:
             with _debug_to_stderr("ringca.synthesis", args.stats):
                 rules = synthesis.filter_randomness_candidates(

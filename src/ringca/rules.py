@@ -10,6 +10,9 @@ rightmost character of the string is the next state of RMT 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import compress
+from operator import eq
 
 
 class RuleError(ValueError):
@@ -57,9 +60,11 @@ class Rule:
         if len(self.table) != self.d ** self.m:
             raise RuleError(
                 f"table must have {self.d ** self.m} entries, got {len(self.table)}")
-        for r, v in enumerate(self.table):
-            if not 0 <= v < self.d:
-                raise RuleError(f"table entry {v} at RMT {r} is not a state < {self.d}")
+        # min and max find a bad entry; the loop names the first one
+        if min(self.table) < 0 or max(self.table) >= self.d:
+            for r, v in enumerate(self.table):
+                if not 0 <= v < self.d:
+                    raise RuleError(f"table entry {v} at RMT {r} is not a state < {self.d}")
 
     # -- basic geometry -------------------------------------------------
 
@@ -181,10 +186,18 @@ def is_linear(rule: Rule) -> bool:
     )
 
 
+@cache
+def _middles(d: int, m: int, rr: int) -> tuple[int, ...]:
+    """The state of the cell being updated, RMT by RMT: the digit ``rr``
+    places from the right."""
+    shift = d ** rr
+    return tuple(r // shift % d for r in range(d ** m))
+
+
 def self_replicating_rmts(rule: Rule) -> set[int]:
     """RMTs whose next state equals the state of the cell being updated."""
-    d, shift = rule.d, rule.d ** rule.rr
-    return {r for r, v in enumerate(rule.table) if v == r // shift % d}
+    middles = _middles(rule.d, rule.m, rule.rr)
+    return set(compress(range(len(middles)), map(eq, rule.table, middles)))
 
 
 @dataclass(frozen=True)
@@ -204,8 +217,13 @@ class FlowReport:
 
 def information_flow(rule: Rule) -> FlowReport:
     """Score how strongly state changes propagate in each direction."""
+    return _flow(rule, self_replicating_rmts(rule))
+
+
+def _flow(rule: Rule, selfrep: set[int]) -> FlowReport:
+    """:func:`information_flow` of a rule whose self-replicating RMTs are
+    ``selfrep``."""
     d, sets = rule.d, rule.num_sets
-    selfrep = self_replicating_rmts(rule)
     moved = [(r, v) for r, v in enumerate(rule.table) if r not in selfrep]
     # a set's score is the number of distinct (set, value) pairs among
     # its members in ``moved``: RMT r lies in sibling set r // d and in

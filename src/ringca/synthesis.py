@@ -11,15 +11,15 @@ assembles 10-state rules primary-set by primary-set.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import permutations, product
 
 from .debruijn import (DeBruijnGraph, fixed_point_attractors, quiescent_states,
                        trivial_reachability)
 # satisfies_strategy stays importable from here, where the strategies live
-from .rules import (Rule, check_dims, information_flow, satisfies_strategy,  # noqa: F401
+from .rules import (Rule, _flow, check_dims, satisfies_strategy,  # noqa: F401
                     self_replicating_rmts)
 
 # largest rule table, in RMTs (d^m), that the strategy generators build
@@ -37,9 +37,10 @@ class Lcg:
     ``randbelow(n)`` joins as many 32-bit draws as give n.bit_length() + 16
     bits, at least one word, and rejects values at or above the largest
     multiple of n below 2^(32 words).  Bounds below 2^16 need one word;
-    for them ``randbelow`` and ``shuffle`` take the LCG step inline.  That
-    is the same algorithm, not an approximation: the same draws, the same
-    rejections and the same ``state`` after every call.
+    for them ``randbelow`` takes the LCG step inline, and every shuffle
+    runs through the one loop of :meth:`shuffle_blocks`.  That is the same
+    algorithm, not an approximation: the same draws, the same rejections
+    and the same ``state`` after every call.
     """
 
     def __init__(self, seed: int):
@@ -77,16 +78,32 @@ class Lcg:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
             i -= 1
+        if i > 0:
+            head = items[:i + 1]
+            self.shuffle_blocks(head, i + 1)
+            items[:i + 1] = head
+
+    def shuffle_blocks(self, items: list, size: int) -> None:
+        """Shuffle each block ``items[k:k + size]`` in place, first block
+        first, with the draws that ``shuffle`` makes on each block in turn.
+
+        ``size`` is at most 2^16 - 1, so every bound takes one word, and
+        ``len(items)`` is a multiple of it.
+        """
+        if not 0 < size < 0x10000 or len(items) % size:
+            raise ValueError(f"cannot shuffle {len(items)} items in blocks of {size}")
+        # (offset, bound, rejection limit) of each draw within a block
+        draws = [(i, i + 1, 0x100000000 - 0x100000000 % (i + 1))
+                 for i in range(size - 1, 0, -1)]
         state = self.state
-        while i > 0:
-            n = i + 1
-            limit = 0x100000000 - 0x100000000 % n
-            state = (1664525 * state + 1013904223) & 0xFFFFFFFF
-            while state >= limit:
+        for base in range(0, len(items), size):
+            for i, n, limit in draws:
                 state = (1664525 * state + 1013904223) & 0xFFFFFFFF
-            j = state % n
-            items[i], items[j] = items[j], items[i]
-            i -= 1
+                while state >= limit:
+                    state = (1664525 * state + 1013904223) & 0xFFFFFFFF
+                i += base
+                j = base + state % n
+                items[i], items[j] = items[j], items[i]
         self.state = state
 
     def choice(self, items):
@@ -124,27 +141,25 @@ class StrategySpec:
                 f"min_reverse_flow must be at least 0, got {self.min_reverse_flow}")
 
 
+def _shuffled_ranges(rng: Lcg, d: int, count: int) -> list[int]:
+    """``count`` shuffles of ``range(d)``, one after another, in one list."""
+    values = list(range(d)) * count
+    rng.shuffle_blocks(values, d)
+    return values
+
+
 def _strategy_i(rng: Lcg, d: int, m: int) -> Rule:
-    sets = []
-    for _ in range(d ** (m - 1)):
-        values = list(range(d))
-        rng.shuffle(values)
-        sets.append(values)
+    sets = _shuffled_ranges(rng, d, d ** (m - 1))
     # equivalent set i is RMTs i, i + d^(m-1), ...: value k of every set
     # fills the k-th block of d^(m-1) RMTs
     table = []
-    for block in zip(*sets):
-        table += block
+    for k in range(d):
+        table += sets[k::d]
     return Rule(d, m, tuple(table))
 
 
 def _strategy_ii(rng: Lcg, d: int, m: int) -> Rule:
-    table = []
-    for _ in range(d ** (m - 1)):
-        values = list(range(d))
-        rng.shuffle(values)
-        table += values
-    return Rule(d, m, tuple(table))
+    return Rule(d, m, tuple(_shuffled_ranges(rng, d, d ** (m - 1))))
 
 
 def _rule_from_grid(grid, by_row: bool) -> Rule:
@@ -188,32 +203,31 @@ def _strategy_iii(rng: Lcg, d: int) -> Rule:
             break
         pick -= w
     if family % 2 == 0:  # constant lines
-        c = list(range(d))
-        rng.shuffle(c)
-        grid = [[ck] * d for ck in c]
+        grid = [[ck] * d for ck in _shuffled_ranges(rng, d, 1)]
     else:
-        grid = []
-        for _ in range(d):
-            p = list(range(d))
-            rng.shuffle(p)
-            grid.append(p)
+        lines = _shuffled_ranges(rng, d, d)
+        grid = [lines[k:k + d] for k in range(0, d * d, d)]
     return _rule_from_grid(grid, by_row=family < 2)
+
+
+def iter_strategy(spec: StrategySpec, count: int) -> Iterator[Rule]:
+    """Sample ``count`` rules per the chosen strategy, reproducibly, one at
+    a time: the rules of :func:`generate_strategy`, in its order."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    rng, d, m = Lcg(spec.seed), spec.d, spec.m
+    if spec.kind == "I":
+        draw = partial(_strategy_i, rng, d, m)
+    elif spec.kind == "II":
+        draw = partial(_strategy_ii, rng, d, m)
+    else:
+        draw = partial(_strategy_iii, rng, d)
+    return (draw() for _ in range(count))
 
 
 def generate_strategy(spec: StrategySpec, count: int) -> list[Rule]:
     """Sample ``count`` rules per the chosen strategy, reproducibly."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    rng = Lcg(spec.seed)
-    out = []
-    for _ in range(count):
-        if spec.kind == "I":
-            out.append(_strategy_i(rng, spec.d, spec.m))
-        elif spec.kind == "II":
-            out.append(_strategy_ii(rng, spec.d, spec.m))
-        else:
-            out.append(_strategy_iii(rng, spec.d))
-    return out
+    return list(iter_strategy(spec, count))
 
 
 # -- candidate filters -----------------------------------------------------
@@ -250,25 +264,30 @@ def filter_randomness_candidates(
                 else StrategySpec.min_reverse_flow)
     kept = []
     quiescent = fixed_point = flow = trivial = 0  # rejections by reason
+    shape = None  # (d, m) of the tables below
     for rule in rules:
         if len(quiescent_states(rule)) != 1:
             quiescent += 1
             continue
         d = rule.d
-        graph = DeBruijnGraph(d, rule.m)
-        homogeneous = {rule.homogeneous_rmt(s) for s in range(d)}
-        if graph.has_cycle(self_replicating_rmts(rule) - homogeneous):
+        if (d, rule.m) != shape:
+            shape = d, rule.m
+            graph = DeBruijnGraph(d, rule.m)
+            homogeneous = {rule.homogeneous_rmt(s) for s in range(d)}
+            others = [r for r in range(rule.num_rmts) if r not in homogeneous]
+        selfrep = self_replicating_rmts(rule)
+        if graph.has_cycle(selfrep - homogeneous):
             fixed_point += 1
             continue
-        scores = information_flow(rule)
+        scores = _flow(rule, selfrep)
         if min(scores.left_changes, scores.right_changes) < min_flow:
             flow += 1
             continue
         if strict:
             by_value: list[list[int]] = [[] for _ in range(d)]
-            for r, v in enumerate(rule.table):
-                if r not in homogeneous:
-                    by_value[v].append(r)
+            table = rule.table
+            for r in others:
+                by_value[table[r]].append(r)
             if any(map(graph.has_cycle, by_value)):
                 trivial += 1
                 continue

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,22 @@ class TestSynthesize:
                        "137 rejected by quiescent states, 40 by fixed points, 3 by "
                        "information flow, 20 by trivial predecessors, 0 kept\n")
         assert invoke(capsys, *argv)[2] == ""
+
+    def test_filter_memory_bounded(self, capsys):
+        """Rules are drawn one at a time and screened as they come, so the
+        traced peak of ``--filter --strict`` does not grow with the count;
+        holding 10,000 rules at once would take several MB."""
+        argv = ["synthesize", "--strategy", "II", "--seed", "5", "--filter", "--strict"]
+        invoke(capsys, *argv, "--count", "10")  # first-call imports and caches
+        for count in (1000, 10_000):
+            tracemalloc.start()
+            try:
+                code, _, _ = invoke(capsys, *argv, "--count", str(count))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < 256 * 1024, f"peak {peak} bytes at --count {count}"
 
     @pytest.mark.parametrize("strategy, size", [
         ("I", ("--m", "0")), ("II", ("--m", "-1")), ("I", ("--d", "11")),

@@ -58,6 +58,30 @@ class TestParse:
         assert rule.rmt_digits(0b0100)[rule.lr] == 1
 
 
+class TestTableEntries:
+    """A table entry outside [0, d) is named with its RMT, the first such
+    entry when there are several."""
+
+    def test_late_entry_too_large(self):
+        table = (0, 1, 2) * 8 + (0, 1, 3)
+        with pytest.raises(RuleError, match=r"^table entry 3 at RMT 26 is not a state < 3$"):
+            Rule(3, 3, table)
+
+    def test_negative_entry_before_large_one(self):
+        table = [0] * 16
+        table[5], table[9] = -1, 2
+        with pytest.raises(RuleError, match=r"^table entry -1 at RMT 5 is not a state < 2$"):
+            Rule(2, 4, tuple(table))
+
+    def test_list_table(self):
+        table = [1] * 16
+        table[11] = 4
+        with pytest.raises(RuleError, match=r"^table entry 4 at RMT 11 is not a state < 4$"):
+            Rule(4, 2, table)
+        table[11] = 3
+        assert Rule(4, 2, table).table == tuple(table)
+
+
 class TestBalanced:
     def test_balanced_three_state(self):
         assert is_balanced(parse_rule("201210210201210210201210210", 3, 3))
