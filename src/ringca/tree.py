@@ -29,6 +29,14 @@ is the self-loop {q, q + 1}; a node that becomes one makes each expanded
 child a self-loop one level down, at {q + 1, q + 2}, unless the child
 already is one.
 
+A level set is stored as an int with bit l set for level l, so shifting a
+parent's levels one level down is one shift, and the loops are read by
+peeling its bits from the lowest.  Level sets and claims are replaced,
+never changed in place, which lets new siblings share the ones they
+start from.  An int costs more memory than a set of the same levels only
+once its levels pass about 1,500; the deepest level recorded by the
+classify tree of any rule in the tests' golden file is 121.
+
 Each unique node is judged once, when it is created: whether it fails the
 generic balance and d^m count, and at which last levels n - iota its
 restricted content would fail.  Both judgements surface as progressions
@@ -360,17 +368,25 @@ def restrict_last_levels(node: TreeNode, rule: Rule, iota: int) -> TreeNode:
 
 
 class _Node:
+    """One unique node of the minimized tree.
+
+    ``levels`` is its level set as an int, with bit l set when the node
+    occurs at level l, and ``claims`` a frozenset.  Both are replaced,
+    never changed in place, so new siblings share the objects they start
+    from.
+    """
+
     __slots__ = ("gamma", "levels", "children", "created_level", "claims",
                  "bad_iotas")
 
     def __init__(self, gamma, levels, claims, bad_iotas, created_level):
         self.gamma = gamma
-        self.levels: set[int] = levels
+        self.levels: int = levels
         self.children: list[int] | None = None
         self.created_level = created_level  # construction pass of discovery
         # occurrence claims accumulated over every level-set state, as
         # progressions (see ``_covers``)
-        self.claims: set[tuple[int, int]] = claims
+        self.claims: frozenset[tuple[int, int]] = claims
         self.bad_iotas = bad_iotas  # None while unjudged (_BipermutiveBuilder)
 
 
@@ -384,14 +400,17 @@ def _covers(progressions, p: int) -> bool:
     return False
 
 
-def _state_claims(levels: set[int]) -> set[tuple[int, int]]:
+def _state_claims(levels: int) -> set[tuple[int, int]]:
     """Claims of one level set: its least level q on its own, and q's loop
     to each other level, so {q, q + 1} is a self-loop, every level >= q."""
-    q = min(levels)
+    low = levels & -levels
+    q = low.bit_length() - 1
     claims = {(q, 0)}
-    for l in levels:
-        if l > q:
-            claims.add((q, l - q))
+    rest = levels ^ low
+    while rest:
+        low = rest & -rest
+        claims.add((q, low.bit_length() - 1 - q))
+        rest ^= low
     return claims
 
 
@@ -415,12 +434,14 @@ class _Builder:
     since a repeat could neither stop a check nor add evidence.
 
     The parent's levels shifted a level, ``ahead``, are likewise made
-    once per parent: each new child starts from a copy, and a known
-    child whose levels already hold ``ahead`` gets no occurrence to
-    record.  Recording occurrences at another child may replace or grow
-    the parent's own levels (a node can be its own descendant), so
-    ``ahead`` is made again after those records whenever the parent's
-    levels were replaced or grew; they never shrink in place.
+    once per parent: every new child starts from it, and a known child
+    whose levels already hold ``ahead`` gets no occurrence to record.
+    Level sets are ints and claims frozensets, replaced and never changed
+    in place, so new siblings share them and need no copies.  Recording
+    occurrences at another child may replace the parent's own levels or
+    claims (a node can be its own descendant), so ``ahead`` and the
+    shifted claims are made again whenever the parent's object was
+    replaced.
 
     A re-occurrence follows the module docstring's loop rule
     (``_record_occurrence``).  Every change of a node's levels reaches
@@ -454,20 +475,19 @@ class _Builder:
 
     # -- node bookkeeping -------------------------------------------------
 
-    def _new_node(self, gamma, levels: set[int], claims: set[tuple[int, int]],
+    def _new_node(self, gamma, levels: int, claims: frozenset[tuple[int, int]],
                   created_level: int) -> int:
-        """Append a judged node; it keeps copies of ``levels`` and
-        ``claims``, which its new siblings share."""
+        """Append a judged node; it keeps ``levels`` and ``claims``
+        themselves, which its new siblings share."""
         uid = len(self.nodes)
         bad_iotas = self._judge(gamma, claims, created_level)
         if uid >= _MAX_NODES:
             raise TreeSizeError(f"more than {_MAX_NODES} unique nodes")
-        self.nodes.append(_Node(gamma, levels.copy(), claims.copy(), bad_iotas,
-                                created_level))
+        self.nodes.append(_Node(gamma, levels, claims, bad_iotas, created_level))
         self.index[gamma] = uid
         return uid
 
-    def _judge(self, gamma, claims: set[tuple[int, int]], created_level: int):
+    def _judge(self, gamma, claims: frozenset[tuple[int, int]], created_level: int):
         """The bad last levels of a new node, after reporting its generic
         failure, if any."""
         generic_ok, bad_iotas = self.ctx.verdict(gamma)
@@ -484,18 +504,24 @@ class _Builder:
         """Apply the module docstring's loop rule to a re-occurrence at a
         level i that the node's set lacks."""
         nd = self.nodes[uid]
-        q, *rest = sorted(nd.levels)
+        levels = nd.levels
+        low = levels & -levels
+        q = low.bit_length() - 1
         if i < q:
             return
-        for l in rest:
-            g = math.gcd(l - q, i - q)
-            if g == l - q:
+        rest = levels ^ low  # the other levels, shortest loop first
+        while rest:
+            low = rest & -rest
+            loop = low.bit_length() - 1 - q
+            g = math.gcd(loop, i - q)
+            if g == loop:
                 return  # the old loop implies the occurrence
-            if g > 1 or l - q == 2 or i - q == 1:
-                nd.levels = {i - g, i}
+            if g > 1 or loop == 2 or i - q == 1:
+                nd.levels = 1 << (i - g) | 1 << i
                 break
+            rest ^= low
         else:
-            nd.levels.add(i)
+            nd.levels = levels | 1 << i
         self._changed(uid)
 
     def _changed(self, uid: int) -> None:
@@ -505,26 +531,32 @@ class _Builder:
         new = _state_claims(nd.levels) - nd.claims
         if not new:
             return  # nothing new to propagate; also breaks link cycles
-        nd.claims |= new
+        nd.claims = nd.claims | new
         self._claims_grew(nd, new)
         if nd.children is None:
             return
+        # a self-loop {q, q + 1} never changes, and a node that becomes one
+        # during this loop passes it to every child in a nested call
+        base = (nd.levels & -nd.levels) << 1  # bit q + 1
+        self_loop = nd.levels & base
         for c in set(nd.children):
             child = self.nodes[c]
-            base = min(nd.levels) + 1
-            if base in nd.levels and min(child.levels) + 1 not in child.levels:
-                child.levels = {base, base + 1}  # a self-loop one level down
+            if self_loop and not child.levels & (child.levels & -child.levels) << 1:
+                child.levels = base | base << 1  # a self-loop one level down
                 self._changed(c)
             else:
                 self._offer(nd, c)
 
     def _offer(self, parent: _Node, uid: int) -> None:
         """Record at child ``uid`` each of the parent's levels plus one
-        that the child's levels lack."""
+        that the child's levels lack, in increasing order."""
         child = self.nodes[uid]
-        for l in sorted(parent.levels):
-            if l + 1 not in child.levels:
-                self._record_occurrence(uid, l + 1)
+        ahead = parent.levels << 1
+        while ahead:
+            low = ahead & -ahead
+            if not child.levels & low:
+                self._record_occurrence(uid, low.bit_length() - 1)
+            ahead ^= low
 
     # -- construction -----------------------------------------------------
 
@@ -541,7 +573,7 @@ class _Builder:
         """Expand level by level until convergence or until ``_done``."""
         self.nodes: list[_Node] = []
         self.index: dict[bytes | tuple[int, ...], int] = {}
-        self._new_node(self.ctx.root(), {0}, {(0, 0)}, created_level=0)
+        self._new_node(self.ctx.root(), 1, frozenset({(0, 0)}), created_level=0)
         self._claims_grew(self.nodes[0], self.nodes[0].claims)
         frontier = [0]
         i = 1
@@ -549,17 +581,16 @@ class _Builder:
             next_frontier = []
             for p in frontier:
                 parent = self.nodes[p]
-                levels = parent.levels
-                size = len(levels)  # ``levels`` as ``ahead`` was made
-                ahead = {l + 1 for l in levels}
+                levels = parent.levels  # as ``ahead`` was made
+                ahead = levels << 1
                 children = []
-                version = -1  # len(parent.claims) when ``shifted`` was made
+                claims = None  # parent.claims as ``shifted`` was made
                 for gamma in self.ctx.children(parent.gamma):
                     uid = self.index.get(gamma)
                     if uid is None:
-                        if version != len(parent.claims):
-                            version = len(parent.claims)
-                            shifted = {(s + 1, p) for s, p in parent.claims}
+                        if claims is not parent.claims:
+                            claims = parent.claims
+                            shifted = frozenset([(s + 1, p) for s, p in claims])
                             reported = set()  # bad iotas reported at ``shifted``
                         uid = self._new_node(gamma, ahead, shifted, created_level=i)
                         child = self.nodes[uid]
@@ -567,12 +598,11 @@ class _Builder:
                             reported.add(child.bad_iotas)
                             self._claims_grew(child, shifted)
                         next_frontier.append(uid)
-                    elif not ahead <= self.nodes[uid].levels:
+                    elif ahead & ~self.nodes[uid].levels:
                         self._offer(parent, uid)
-                        if parent.levels is not levels or len(levels) != size:
+                        if parent.levels != levels:
                             levels = parent.levels
-                            size = len(levels)
-                            ahead = {l + 1 for l in levels}
+                            ahead = levels << 1
                     children.append(uid)
                 parent.children = children
             frontier = next_frontier
@@ -670,7 +700,7 @@ class _BipermutiveBuilder(_FixedSizeBuilder):
         """Whether one of the claims covers a last level n - iota."""
         return any(_covers(claims, level) for level in self.last_levels)
 
-    def _judge(self, gamma, claims: set[tuple[int, int]], created_level: int):
+    def _judge(self, gamma, claims: frozenset[tuple[int, int]], created_level: int):
         if claims is not self._reached[0]:  # siblings share ``claims``
             self._reached = (claims, self._reaches(claims))
         return self.ctx.verdict(gamma)[1] if self._reached[1] else None

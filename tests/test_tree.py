@@ -1,15 +1,19 @@
+import hashlib
 import json
 import logging
 import math
 import random
+import tracemalloc
 from operator import getitem
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringca import tree
+from ringca.cli import run
 from ringca.rules import Rule, eca, is_balanced, parse_rule, satisfies_strategy
 from ringca.synthesis import (StrategySpec, generate_strategy,
-                              rule_from_permutation)
+                              rule_from_permutation, synthesize_decimal)
 from ringca.tree import (Classification, IrrevExpression, ReversibilityCheck,
                          _BipermutiveBuilder, _ClassifyBuilder, _Context,
                          _Builder, _FixedSizeBuilder,
@@ -903,6 +907,27 @@ class TestReportsComplete:
         assert self.unreported(Rule(d, m, tuple(table)))[0] == []
 
 
+# sha256 of the node states in ``TestNodeState.test_digest``
+NODE_STATE_DIGEST = "ca50d3fe0e2c9061d7b77755d1571483e244241aa3aa3b063f6b0400bbd78f07"
+
+
+def level_list(levels):
+    """A node's levels in increasing order."""
+    return [l for l in range(levels.bit_length()) if levels >> l & 1]
+
+
+def level_bits(levels):
+    """The level set holding ``levels``."""
+    return sum(1 << l for l in set(levels))
+
+
+def fixed_builder(rule):
+    """The builder ``check_reversible`` uses for ``rule``."""
+    if satisfies_strategy(rule, "II") and satisfies_strategy(rule, "I"):
+        return _BipermutiveBuilder
+    return _FixedSizeBuilder
+
+
 class _PlainBuild(_Builder):
     """The child loop without per-parent sharing: each new child gets its
     own shifted levels and claims and reports its claims, and each known
@@ -911,7 +936,7 @@ class _PlainBuild(_Builder):
     def _build(self):
         self.nodes = []
         self.index = {}
-        self._new_node(self.ctx.root(), {0}, {(0, 0)}, created_level=0)
+        self._new_node(self.ctx.root(), level_bits([0]), {(0, 0)}, created_level=0)
         self._claims_grew(self.nodes[0], self.nodes[0].claims)
         frontier = [0]
         i = 1
@@ -924,8 +949,9 @@ class _PlainBuild(_Builder):
                     uid = self.index.get(gamma)
                     if uid is None:
                         shifted = {(s + 1, q) for s, q in parent.claims}
-                        uid = self._new_node(gamma, {l + 1 for l in parent.levels},
-                                             shifted, created_level=i)
+                        uid = self._new_node(
+                            gamma, level_bits(l + 1 for l in level_list(parent.levels)),
+                            shifted, created_level=i)
                         self._claims_grew(self.nodes[uid], shifted)
                         next_frontier.append(uid)
                     else:
@@ -977,15 +1003,41 @@ class TestNodeState:
         builds = 0
         for rule in rules:
             cases = [(_ClassifyBuilder, rule)]
-            fixed = (_BipermutiveBuilder
-                     if satisfies_strategy(rule, "II") and satisfies_strategy(rule, "I")
-                     else _FixedSizeBuilder)
-            cases += [(fixed, rule, n) for n in (5, 7, 11, 13, 30)]
+            cases += [(fixed_builder(rule), rule, n) for n in (5, 7, 11, 13, 30)]
             for cls, *args in cases:
                 got = self.state(cls, *args)
                 assert got == self.state(PLAIN[cls], *args), (rule.string, cls, args)
                 builds += 1
         assert len(rules) > 350 and builds == 6 * len(rules)
+
+    def test_digest(self):
+        """Every node's state, in the classify build of each golden rule
+        that builds a tree and in its fixed-size builds at n = 5, 11 and
+        30, hashes to the digest recorded before level sets were
+        bitmasks."""
+        digest = hashlib.sha256()
+        builds = 0
+        for rule in golden_rules():
+            if not is_balanced(rule) or _strictly_irreversible(rule):
+                continue
+            cases = [(_ClassifyBuilder, rule)]
+            cases += [(fixed_builder(rule), rule, n) for n in (5, 11, 30)]
+            for cls, *args in cases:
+                builder = cls(*args)
+                try:
+                    builder.build()
+                    stopped = None
+                except _IrreversibleFound:
+                    stopped = "irreversible"
+                nodes = [(nd.gamma, level_list(nd.levels), sorted(nd.claims),
+                          None if nd.bad_iotas is None else sorted(nd.bad_iotas),
+                          nd.children) for nd in builder.nodes]
+                evidence = sorted(getattr(builder, "evidence", ()))
+                digest.update(repr((rule.string, cls.__name__, args[1:], stopped,
+                                    nodes, evidence)).encode())
+                builds += 1
+        assert builds == 4 * 216
+        assert digest.hexdigest() == NODE_STATE_DIGEST
 
 
 class TestLoopRule:
@@ -996,7 +1048,7 @@ class TestLoopRule:
     def builder(*level_sets):
         builder = _ClassifyBuilder(eca(90))
         builder.evidence = set()
-        builder.nodes = [_Node(None, set(levels), _state_claims(set(levels)),
+        builder.nodes = [_Node(None, level_bits(levels), _state_claims(level_bits(levels)),
                                frozenset(), min(levels)) for levels in level_sets]
         return builder
 
@@ -1007,7 +1059,7 @@ class TestLoopRule:
         builder = self.builder({5, 7})
         builder._record_occurrence(0, 8)
         nd = builder.nodes[0]
-        assert nd.levels == {7, 8}
+        assert level_list(nd.levels) == [7, 8]
         assert all(_covers(nd.claims, n) for n in range(7, 60))
 
     def test_self_loop_makes_children_self_loops(self):
@@ -1018,8 +1070,65 @@ class TestLoopRule:
         builder.nodes[0].children = [1, 1]
         builder._record_occurrence(0, 4)
         child = builder.nodes[1]
-        assert child.levels == {4, 5}
+        assert level_list(child.levels) == [4, 5]
         assert all(_covers(child.claims, n) for n in range(4, 60))
+
+
+# a d = 3 rule whose fixed-size check at n = 10^6 and classify each build
+# 9,837 unique nodes
+LARGE_D3 = "120012012012120102201201210"
+
+
+class TestNodeCap:
+    """A tree that outgrows ``_MAX_NODES`` raises ``TreeSizeError``, which
+    the CLI reports on one line with exit code 1."""
+
+    @pytest.fixture(autouse=True)
+    def cap(self, monkeypatch):
+        monkeypatch.setattr(tree, "_MAX_NODES", 1000)
+
+    def test_check_and_classify_raise(self):
+        rule = parse_rule(LARGE_D3, 3, 3)
+        with pytest.raises(tree.TreeSizeError, match="^more than 1000 unique nodes$"):
+            check_reversible(rule, 10 ** 6)
+        with pytest.raises(tree.TreeSizeError, match="^more than 1000 unique nodes$"):
+            classify(rule)
+
+    def test_cli_error_line(self, capsys):
+        code = run(["check", "--d", "3", "--m", "3", "--rule", LARGE_D3,
+                    "--size", "1000000"])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (1, "", "error: more than 1000 unique nodes\n")
+
+
+class TestNodeMemory:
+    """Peak traced bytes per unique node.  Level sets as ints and claims
+    shared by new siblings keep a node at about 380 bytes in the d = 3
+    tree and 750 in the d = 10 one; the bounds sit below the 740 and
+    1,160 that level sets and claims copied per node as sets took."""
+
+    @staticmethod
+    def peak_per_node(fn):
+        tracemalloc.start()
+        try:
+            try:
+                nodes = fn().unique_nodes
+            except tree.TreeSizeError:
+                nodes = tree._MAX_NODES
+            return tracemalloc.get_traced_memory()[1] / nodes
+        finally:
+            tracemalloc.stop()
+
+    def test_d3_tree(self):
+        rule = parse_rule(LARGE_D3, 3, 3)
+        assert self.peak_per_node(lambda: check_reversible(rule, 10 ** 6)) < 600
+
+    def test_d10_tree(self, monkeypatch):
+        # this rule's tree at n = 11 passes 500,000 nodes; the first
+        # 10,000 show the cost of one
+        rule, = synthesize_decimal(1, seed=20260811)
+        monkeypatch.setattr(tree, "_MAX_NODES", 10_000)
+        assert self.peak_per_node(lambda: check_reversible(rule, 11)) < 950
 
 
 # Reversible at n = 11 by a brute-force enumeration of the 3^11 rings and by
