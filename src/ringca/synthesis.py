@@ -18,9 +18,7 @@ from itertools import permutations, product
 
 from .debruijn import (DeBruijnGraph, fixed_point_attractors, quiescent_states,
                        trivial_reachability)
-# satisfies_strategy stays importable from here, where the strategies live
-from .rules import (Rule, _flow, check_dims, satisfies_strategy,  # noqa: F401
-                    self_replicating_rmts)
+from .rules import Rule, _flow, check_dims, self_replicating_rmts
 
 # largest rule table, in RMTs (d^m), that the strategy generators build
 MAX_STRATEGY_RMTS = 1 << 20

@@ -73,13 +73,17 @@ per-content table of counts by residue.  One list per slot index holds,
 by id, the counts of the full content and of its restriction to every
 last level, one field group per level, so judging a unique node is one
 sum over its slots.  A content's entries at every slot index, its
-column, are filled together the first time a judged node holds it, with
-its residue tables computed then and not when it is interned: the large
-trees judge every content, while a tree decided near the root judges few
-of the contents it interns (about 130 of 330 for a random balanced
-10-state rule checked at n = 5).  No restricted content or node is ever
-built: a fixed-size check judges the levels below n - m + 1 by walking
-full contents with the same verdict.
+column, are filled together when it is interned, so every id a node can
+hold has its entries and the sum needs no check.  The large trees judge
+every content they intern; a tree decided near the root fills columns it
+never reads.  A random balanced 10-state rule checked at n = 5 interns
+332 contents, and its nodes judged hold 129 of them; its check takes
+about 2.4 times as long as when a column was filled the first time a
+judged node held it (7.2 ms against 3.1 ms on a 2-core Xeon, Python
+3.11.7).  That is the price of one fill path and a verdict that is one
+sum.  No restricted content or node is ever built: a fixed-size check
+judges the levels below n - m + 1 by walking full contents with the same
+verdict.
 
 A bipermutive rule, one that holds each state once on every sibling set
 and on every equivalent set (``satisfies_strategy`` "I" and "II", as
@@ -102,8 +106,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, repeat
-from operator import add, getitem, itemgetter, setitem
+from itertools import compress
+from operator import getitem, itemgetter
 
 from .rules import Rule, is_balanced, satisfies_strategy
 
@@ -148,18 +152,15 @@ class _Context:
     (1 <= iota <= m-1) those of its restriction to level n - iota, which
     keeps the RMTs r with ``r % d**(m-iota) == k // d**(iota-1)``.  So
     group iota is one entry of the content's residue table for iota, its
-    value counts by residue of r modulo d**(m-iota) (``_counts``).  A
-    node's verdict is one sum per unique node,
-    ``sum(map(getitem, judge, gamma))``, over plain lists.  A node that
-    holds an id no judged node held before fails that sum on a missing
-    entry; ``_fill_columns`` then computes the residue tables of each such
-    content and writes its entries at every slot index, its column, before
-    the sum is taken again.  Only group 1, whose residue table is as wide
-    as a node, costs a Python step per entry, and only at its non-zero
-    entries, the slots ``r % d**(m-1)`` of the content's own RMTs: group
-    0's total is added to the smallest residue table, groups 2 and up are
-    read at every slot by the ``residues`` getters, and one
-    ``map(setitem, ...)`` writes the column.  The total's group 0 must
+    value counts by residue of r modulo d**(m-iota).  ``intern`` appends a
+    new content's entry to every ``judge[k]``, its column
+    (``_fill_column``), so a node's verdict is one sum per unique node,
+    ``sum(map(getitem, judge, gamma))``, over plain lists.  Only group 1,
+    whose residue table is as wide as a node, costs a Python step per
+    entry, and only at its non-zero entries, the slots ``r % d**(m-1)`` of
+    the content's own RMTs: group 0 and groups 3 and up are folded into
+    group 2's table, or group 0 stands alone when m = 2, and one getter,
+    ``spread``, reads that table at every slot.  The total's group 0 must
     read d^m RMTs, balanced, and each group iota d^iota, or the node
     fails at n - iota.  Verdicts are kept by the total's difference from
     a passing one, so nodes that fail alike share one.
@@ -196,14 +197,14 @@ class _Context:
                                 for v in range(d)].__getitem__, rule.table))
                       for iota in range(m)]
         # slot k keeps residue k // d**(iota-1) in field group iota: k
-        # itself in group 1, and these getters' entries in groups 2 and up
-        self.residues = [itemgetter(*(k // d ** (iota - 1) for k in range(self.num_sets)))
-                         for iota in range(2, m)]
+        # itself in group 1, and entry k // d of group 2's table, into
+        # which groups 0 and 3 and up are folded
+        self.slots = range(self.num_sets)
+        self.spread = itemgetter(*(k // d for k in self.slots))
         self.masks: list[int] = []  # slot id -> RMT bitmask
         self.ids: dict[int, int] = {}  # RMT bitmask -> slot id
-        # per slot index: slot id -> packed counts of every field group,
-        # or None until a judged node holds the id
-        self.judge: list[list[int | None]] = [[] for _ in range(self.num_sets)]
+        # per slot index: slot id -> packed counts of every field group
+        self.judge: list[list[int]] = [[] for _ in range(self.num_sets)]
         self.verdicts: dict[int, tuple[bool, frozenset[int]]] = {}  # by diff
         # slot id -> child slot id, one list per branch, and the same as
         # translate tables while every id fits a byte
@@ -218,6 +219,7 @@ class _Context:
             if sid == 256:
                 self.tables = None  # ids no longer fit a byte
             self.masks.append(mask)
+            self._fill_column(mask)
         return sid
 
     def grow(self, top: int) -> None:
@@ -240,9 +242,10 @@ class _Context:
         if self.tables is not None:
             self.tables = [bytes(table).ljust(256, b"\0") for table in self.child_slot]
 
-    def _counts(self, mask: int) -> list[list[int]]:
-        """Residue tables of a content, one per field group: group iota
-        counts the content's RMTs by residue modulo ``steps[iota]``."""
+    def _fill_column(self, mask: int) -> None:
+        """Append a new content's entry to the judge list of every slot
+        index, from its residue tables, one per field group: group iota
+        counts its RMTs by residue modulo ``steps[iota]``."""
         tables = [[0] * step for step in self.steps]
         groups = list(zip(tables, self.steps, self.units))
         while mask:
@@ -251,34 +254,20 @@ class _Context:
             for table, step, units in groups:
                 table[r % step] += units[r]
             mask ^= low
-        return tables
-
-    def _fill_columns(self, gamma: bytes | tuple[int, ...]) -> None:
-        """Fill the judge entries of the node's contents that no judged
-        node held before, each content at every slot index at once."""
-        judge = self.judge
-        if len(judge[0]) < len(self.masks):
-            pad = [None] * (len(self.masks) - len(judge[0]))
-            for table in judge:
-                table.extend(pad)
-        slots = range(self.num_sets)
-        for sid in set(gamma):
-            if judge[0][sid] is None:
-                (total,), first, *rest = self._counts(self.masks[sid])
-                if rest:
-                    # group 0 folded into the smallest residue table, and
-                    # groups 2 .. m-1 read at every slot by their getters
-                    *rest, low = rest
-                    column = self.residues[-1]([count + total for count in low])
-                    for table, residues in zip(rest, self.residues):
-                        column = map(add, column, residues(table))
-                    column = list(column)
-                    # group 1 at the slots k = r % d**(m-1) of its RMTs
-                    for k in compress(slots, first):
-                        column[k] += first[k]
-                else:  # m = 2: group 1 alone is d**(m-1) wide
-                    column = [count + total for count in first]
-                any(map(setitem, judge, repeat(sid), column))  # runs to the end
+        # fold group 0 into group m-1, and on, each group into the next
+        # wider one, down to group 2: a slot that reads entry j of group
+        # iota reads entry j // d of group iota + 1, and of group 0 after
+        # group m-1.  When m = 2 nothing folds, and ``spread`` reads group
+        # 0's one entry at every slot
+        d = self.d
+        folded, first, *rest = tables
+        for table in reversed(rest):
+            folded = [count + folded[j // d] for j, count in enumerate(table)]
+        column = list(self.spread(folded))
+        # group 1 is as wide as a node: add it at its non-zero entries only
+        for k in compress(self.slots, first):
+            column[k] += first[k]
+        any(map(list.append, self.judge, column))  # runs to the end
 
     def root(self) -> bytes | tuple[int, ...]:
         """The root node, as bytes while the ids fit a byte."""
@@ -301,12 +290,7 @@ class _Context:
     def verdict(self, gamma: bytes | tuple[int, ...]) -> tuple[bool, frozenset[int]]:
         """Whether the node passes the generic balance and d^m count, and
         at which last levels n - iota its restricted content would fail."""
-        try:
-            total = sum(map(getitem, self.judge, gamma))
-        except (IndexError, TypeError):  # a content not yet judged
-            self._fill_columns(gamma)
-            total = sum(map(getitem, self.judge, gamma))
-        diff = total ^ self.passing
+        diff = sum(map(getitem, self.judge, gamma)) ^ self.passing
         verdict = self.verdicts.get(diff)
         if verdict is None:
             mask = self.group_mask
@@ -318,7 +302,14 @@ class _Context:
 # -- public node operations (set-of-frozensets view) ------------------------
 
 
-def _to_masks(node: TreeNode) -> tuple[int, ...]:
+def _to_masks(node: TreeNode, rule: Rule) -> tuple[int, ...]:
+    """The node's slots as RMT bitmasks; raises ``ValueError`` unless it
+    has d^(m-1) slots of RMTs in 0 .. d^m - 1."""
+    num_sets, num_rmts = rule.d ** (rule.m - 1), rule.d ** rule.m
+    if len(node) != num_sets:
+        raise ValueError(f"node must have {num_sets} slots, got {len(node)}")
+    if not all(0 <= r < num_rmts for s in node for r in s):
+        raise ValueError(f"node RMTs must be in [0, {num_rmts - 1}]")
     return tuple(sum(1 << r for r in s) for s in node)
 
 
@@ -345,7 +336,7 @@ def child_node(node: TreeNode, rule: Rule, branch: int) -> tuple[TreeNode, TreeN
     if not 0 <= branch < rule.d:
         raise ValueError(f"branch must be a state < {rule.d}")
     ctx = _Context(rule)
-    masks = _to_masks(node)
+    masks = _to_masks(node, rule)
     child = ctx.children(tuple(map(ctx.intern, masks)))[branch]
     vmask = ctx.value_mask[branch]
     return (_to_sets(g & vmask for g in masks),
@@ -360,7 +351,7 @@ def restrict_last_levels(node: TreeNode, rule: Rule, iota: int) -> TreeNode:
     d, m = rule.d, rule.m
     step, span = d ** (m - iota), d ** (iota - 1)
     comb = sum(1 << (j * step) for j in range(d ** iota))
-    return _to_sets(g & comb << k // span for k, g in enumerate(_to_masks(node)))
+    return _to_sets(g & comb << k // span for k, g in enumerate(_to_masks(node, rule)))
 
 
 # ---------------------------------------------------------------------------

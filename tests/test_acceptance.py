@@ -17,10 +17,11 @@ from ringca.debruijn import (fixed_point_attractors, primary_rmt_sets,
 from ringca.engine import cycle_length
 from ringca.prng import StreamSpec, binary_blocks, emit_stream
 from ringca.rules import (Rule, eca, information_flow, is_balanced,
-                          min_representative, parse_rule, wolfram_number)
+                          min_representative, parse_rule, satisfies_strategy,
+                          wolfram_number)
 from ringca.synthesis import (Lcg, StrategySpec, assignment_stages,
                               generate_strategy, rule_from_permutation,
-                              satisfies_strategy, synthesize_decimal)
+                              synthesize_decimal)
 from ringca.tree import (Classification, IrrevExpression, check_reversible,
                          classify, reversible_sizes)
 

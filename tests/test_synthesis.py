@@ -11,7 +11,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from ringca.debruijn import (fixed_point_attractors, quiescent_states, stepper,
                              trivial_reachability)
-from ringca.rules import Rule, information_flow, is_balanced, parse_rule
+from ringca.rules import (Rule, information_flow, is_balanced, parse_rule,
+                          satisfies_strategy)
 from ringca import synthesis
 from ringca.synthesis import (MAX_STRATEGY_RMTS, Lcg, StrategySpec, _DeadEnd,
                               _DecimalAssembler,
@@ -19,7 +20,7 @@ from ringca.synthesis import (MAX_STRATEGY_RMTS, Lcg, StrategySpec, _DeadEnd,
                               equivalent_sets_acceptable,
                               filter_randomness_candidates, generate_strategy,
                               permutation_of, rule_from_permutation,
-                              satisfies_strategy, strategy_iii_rules,
+                              strategy_iii_rules,
                               synthesize_decimal, verify_rule)
 
 from conftest import (FLOW_RULE, PERMUTATION_RULES, REJECTED_FILTER_RULE,

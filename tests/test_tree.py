@@ -76,6 +76,24 @@ class TestNodeOperations:
         empty = sets((), (), (), ())
         assert restrict_last_levels(empty, eca(75), 1) == empty
 
+    def test_child_rejects_short_node(self):
+        with pytest.raises(ValueError, match="4 slots"):
+            child_node(root_node(eca(30))[:2], eca(30), 1)
+
+    def test_child_rejects_empty_node(self):
+        with pytest.raises(ValueError, match="4 slots"):
+            child_node((), eca(30), 0)
+
+    def test_child_rejects_rmt_past_range(self):
+        node = sets({0, 1}, {2, 3}, {4, 99}, {6, 7})
+        with pytest.raises(ValueError, match="RMTs"):
+            child_node(node, eca(30), 0)
+
+    def test_restriction_rejects_bad_nodes(self):
+        for node in (sets({0, 1}), sets((), (), (), {-1})):
+            with pytest.raises(ValueError):
+                restrict_last_levels(node, eca(75), 1)
+
     def test_three_state_execution_row(self):
         # node N_{2.1} of the n=555 run restricts at level n-1 to an
         # unbalanced node: the recorded reason the run stops
@@ -120,6 +138,38 @@ def reference_restrict(rule, masks, iota):
     return [sum(1 << r for r in range(d ** m)
                 if g >> r & 1 and r % d ** (m - iota) == k // d ** (iota - 1))
             for k, g in enumerate(masks)]
+
+
+def reference_column(rule, mask):
+    """A content's value counts as each slot index k judges it: group 0
+    counts all its RMTs, group iota the RMTs that level n - iota keeps in
+    slot k, those with r mod d^(m-iota) = k div d^(iota-1)."""
+    d, m = rule.d, rule.m
+    rmts = [r for r in range(d ** m) if mask >> r & 1]
+    by_residue = []
+    for iota in range(m):
+        step = d ** (m - iota) if iota else 1
+        counts = [[0] * d for _ in range(step)]
+        for r in rmts:
+            counts[r % step][rule.table[r]] += 1
+        by_residue.append(counts)
+    return [[by_residue[0][0]] + [by_residue[iota][k // d ** (iota - 1)]
+                                  for iota in range(1, m)]
+            for k in range(d ** (m - 1))]
+
+
+def check_columns(rule, ctx, sids=None):
+    """Every interned content has its judge entry at every slot index, and
+    those of the ids ``sids`` (default all) hold their reference counts in
+    separate fields and groups."""
+    d, m = ctx.d, ctx.m
+    assert all(len(table) == len(ctx.masks) for table in ctx.judge)
+    for sid in range(len(ctx.masks)) if sids is None else sids:
+        mask = ctx.masks[sid]
+        column = [table[sid] for table in ctx.judge]
+        assert all(entry >> (m * d * ctx.width) == 0 for entry in column)
+        assert [unpack_groups(entry, d, m, ctx.width) for entry in column] == \
+            reference_column(rule, mask)
 
 
 def mask_sets(masks):
@@ -239,25 +289,13 @@ class TestSlotTables:
     @staticmethod
     def check_tables(rule, ctx, gamma, children):
         """Each id's entry in the child list of a branch is the id of its
-        reference child, and each of its residue tables counts its RMTs by
-        residue modulo d^(m-iota), in field group iota."""
-        d, m = ctx.d, ctx.m
+        reference child, and every interned id has a judge column, the
+        node's ids their reference one."""
+        d = ctx.d
         for k, sid in enumerate(gamma):
             assert [ctx.masks[ctx.child_slot[b][sid]] for b in range(d)] == [
                 children[b][k] for b in range(d)]
-        for sid in set(gamma):
-            mask = ctx.masks[sid]
-            tables = ctx._counts(mask)
-            assert len(tables) == m
-            for iota, packed in enumerate(tables):
-                step = d ** (m - iota) if iota else 1
-                buckets = [[0] * d for _ in range(step)]
-                for r in range(d ** m):
-                    if mask >> r & 1:
-                        buckets[r % step][rule.table[r]] += 1
-                assert [unpack_groups(total, d, m, ctx.width) for total in packed] == [
-                    [counts if g == iota else [0] * d for g in range(m)]
-                    for counts in buckets]
+        check_columns(rule, ctx, set(gamma))
 
     @staticmethod
     def check_judge(ctx, gamma, groups):
@@ -265,7 +303,7 @@ class TestSlotTables:
         content (group 0) and of each last level (group iota), with no
         carry between fields or groups, and its verdict follows them."""
         d, m = ctx.d, ctx.m
-        verdict = ctx.verdict(gamma)  # fills the node's judge entries
+        verdict = ctx.verdict(gamma)
         total = sum(map(getitem, ctx.judge, gamma))
         assert total >> (m * d * ctx.width) == 0
         assert unpack_groups(total, d, m, ctx.width) == groups
@@ -419,7 +457,7 @@ class TestCheckReversible:
         roots = {fresh.masks[s] for s in fresh.root()}
         children = {ctx.masks[c] for table in ctx.child_slot for c in table}
         assert set(ctx.masks) == roots | children
-        filled = sum(entry is not None for table in ctx.judge for entry in table)
+        filled = sum(map(len, ctx.judge))
         assert (len(ctx.masks), expanded, filled) == (100, 100, 10_000)
 
     @pytest.mark.parametrize("text,m,n", [
@@ -540,28 +578,22 @@ class TestManyContents:
                 level = {kid for gamma in level for kid in ctx.children(gamma)}
         assert ctx.tables is None and type(ctx.root()) is tuple
 
-    @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_columns_of_judged_contents_only(self, n):
-        # a content's judge column is filled, at every slot index, when a
-        # judged node first holds it, and never for a content only interned
-        builder = _FixedSizeBuilder(balanced_ten_state_rule(0), n)
-        ctx = builder.ctx
-        judged = []
-        verdict = ctx.verdict
-
-        def recording_verdict(gamma):
-            judged.append(gamma)
-            return verdict(gamma)
-
-        ctx.verdict = recording_verdict
-        with pytest.raises(_IrreversibleFound):
+    @pytest.mark.parametrize("rule,n,node_type", [
+        (balanced_ten_state_rule(0), 5, tuple),
+        (parse_rule("222122122001001000110210211", 3, 3), None, bytes),
+        (parse_rule("1001010101100101", 2, 4), None, bytes),
+    ], ids=["wide", "d3", "d2m4"])
+    def test_every_interned_content_has_its_column(self, rule, n, node_type):
+        # a content's judge column is filled, at every slot index, when it
+        # is interned, whether or not a judged node ever holds it; n None
+        # builds the classify tree
+        builder = _ClassifyBuilder(rule) if n is None else _FixedSizeBuilder(rule, n)
+        try:
             builder.build()
-        assert ctx.tables is None and type(judged[-1]) is tuple
-        contents = {sid for gamma in judged for sid in gamma}
-        for table in ctx.judge:
-            assert {sid for sid, entry in enumerate(table)
-                    if entry is not None} == contents
-        assert (len(contents), len(ctx.masks)) == (129, 332)
+        except _IrreversibleFound:
+            pass
+        assert all(type(nd.gamma) is node_type for nd in builder.nodes)
+        check_columns(rule, builder.ctx)
 
     def test_byte_tables_end_at_the_257th_content(self):
         ctx = _Context(Rule(3, 2, (0, 1, 2) * 3))
