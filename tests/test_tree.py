@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -23,9 +24,9 @@ from ringca.tree import (Classification, IrrevExpression, ReversibilityCheck,
                          restrict_last_levels, reversible_sizes, root_node)
 
 from conftest import (PERMUTATION_RULES, STRATEGY_I_SAMPLE, STRATEGY_II_SAMPLE,
-                      brute_force_reversible, label_walk_bijective_sizes,
-                      pair_graph_bijective)
-from test_tree_golden import golden_rules, random_tree_rules
+                      WRONG_AT_11, brute_force_reversible, in_sizes, label_maps,
+                      pair_graph_bijective, pair_rows)
+from test_tree_golden import exact_mismatches, golden_rules, random_tree_rules
 from test_tree_tables import ROWS
 
 
@@ -390,7 +391,7 @@ class TestCheckReversible:
             rng.shuffle(table)
             rules.append(Rule(d, m, tuple(table)))
         for rule in rules:
-            for n in range(rule.m, 8):
+            for n in range(rule.m, 9):
                 assert (pair_graph_bijective(rule, n)
                         == brute_force_reversible(rule, n)), (rule.string, n)
 
@@ -406,17 +407,16 @@ class TestCheckReversible:
         # keep rules bijective at some small size, so both verdicts occur
         rules = [r for r in pool
                  if any(pair_graph_bijective(r, n) for n in range(r.m, 10))]
-        verdicts = set()
+        verdicts, mismatches = set(), set()
         for rule in rules:
-            report = classify(rule)
+            mismatches |= {(rule.string, n) for n in exact_mismatches(rule, classify(rule))}
             for n in (rng.randint(rule.m, 300), rng.randint(rule.m, 10 ** 5)):
                 expected = pair_graph_bijective(rule, n)
                 verdicts.add(expected)
                 assert check_reversible(rule, n).reversible == expected, \
                     (rule.string, n)
-                assert report.irreversible_at(n) == (not expected), \
-                    (rule.string, n)
         assert verdicts == {True, False}
+        assert mismatches == {(WRONG_AT_11[0], 11)}  # a golden strategy II rule
 
     @pytest.mark.parametrize("perm", PERMUTATION_RULES[:2])
     def test_ten_state_permutation_rules(self, perm):
@@ -793,6 +793,13 @@ BIPERMUTIVE_IDS = (PERMUTATION_RULES + ["eca90", "eca105", "eca150", "eca165"]
                    + ["201120012012201120120012201", "201012120120201012012120201"])
 
 
+def same_sizes(a, b):
+    """Whether two (mu, lam, sizes) triples hold the same sizes: both repeat
+    with period lcm(lam, lam') past the larger mu."""
+    return all(in_sizes(a, n) == in_sizes(b, n)
+               for n in range(max(a[0], b[0]) + math.lcm(a[1], b[1])))
+
+
 def fixed_size_result(builder):
     """(reversible, M, last level) of a fixed-size builder's check."""
     try:
@@ -854,25 +861,37 @@ class TestBipermutive:
 
     @pytest.mark.parametrize("rule", BIPERMUTIVE, ids=BIPERMUTIVE_IDS)
     def test_matches_plain_check_and_pair_graph(self, rule):
-        reversible = label_walk_bijective_sizes(rule, 24)
-        if rule.d < 10:
-            assert reversible == {n for n in range(1, 25)
-                                  if pair_graph_bijective(rule, n)}
+        exact = label_maps(rule)
+        if rule.d < 10:  # a fixture's pair rows take seconds
+            assert same_sizes(exact, pair_rows(rule))
+        assert exact_mismatches(rule, classify(rule)) == []
         for n in range(rule.m, 25):
             got = fixed_size_result(_BipermutiveBuilder(rule, n))
             assert got == fixed_size_result(_FixedSizeBuilder(rule, n)), n
-            assert got[0] == (n in reversible), n
+            assert got[0] != in_sizes(exact, n), n
 
     def test_label_walks_against_pair_graph(self):
-        # the pair-graph oracle itself at sizes where its 10,000-node
-        # pair matrix stays cheap, and on every small strategy II rule
+        # label maps against brute force on a fixture, whose pair rows on
+        # 10,000 pair nodes cost seconds
         rule = rule_from_permutation(PERMUTATION_RULES[0])
-        assert label_walk_bijective_sizes(rule, 3) == {
-            n for n in range(1, 4) if pair_graph_bijective(rule, n)}
-        for seed in range(10):
-            for rule in generate_strategy(StrategySpec("II", seed=seed), 4):
-                assert label_walk_bijective_sizes(rule, 9) == {
-                    n for n in range(1, 10) if pair_graph_bijective(rule, n)}
+        exact = label_maps(rule)
+        for n in range(1, 5):
+            assert in_sizes(exact, n) != brute_force_reversible(rule, n), n
+        # and against pair rows at every n: on every strategy II rule with
+        # d <= 3 and at most four windows, on the bipermutive ones with
+        # d = 2, m = 4, and on the affine bipermutive ones with d = 3,
+        # m = 3.  Other d = 3, m = 3 strategy II rules can take seconds:
+        # one has 549,797 maps at one size.
+        shapes = [(2, 2), (2, 3), (3, 2), (2, 4)]
+        rules = [Rule(d, m, sum(rows, ())) for d, m in shapes for rows in itertools.product(
+            itertools.permutations(range(d)), repeat=d ** (m - 1))]
+        rules = [r for r in rules if r.m < 4 or satisfies_strategy(r, "I")]
+        rules += [Rule(3, 3, tuple((x * a + y * b + z * c + w) % 3
+                                   for a, b, c in itertools.product(range(3), repeat=3)))
+                  for x in (1, 2) for y in range(3) for z in (1, 2) for w in range(3)]
+        assert len(rules) == 4 + 16 + 216 + 16 + 36
+        for rule in rules:
+            assert same_sizes(label_maps(rule), pair_rows(rule)), rule.string
 
     @pytest.mark.parametrize("text, d, n, message", [
         (PERMUTATION_RULES[0], 10, 11,
@@ -1161,12 +1180,6 @@ class TestNodeMemory:
         rule, = synthesize_decimal(1, seed=20260811)
         monkeypatch.setattr(tree, "_MAX_NODES", 10_000)
         assert self.peak_per_node(lambda: check_reversible(rule, 11)) < 950
-
-
-# Reversible at n = 11 by a brute-force enumeration of the 3^11 rings and by
-# the pair-graph test, yet the tree calls both irreversible there: the tail
-# (8, 1) that decides it comes from a self-loop claim.
-WRONG_AT_11 = ["210210210012210210120210120", "210222220002000002121111111"]
 
 
 class TestWrongVerdictsAt11:

@@ -12,15 +12,17 @@ last level.  Rewrite both, only when a result change is intended, with::
 """
 
 import json
+import math
 import random
 
 from ringca.rules import Rule, eca, is_balanced, parse_rule
 from ringca.synthesis import (StrategySpec, generate_strategy,
                               rule_from_permutation)
-from ringca.tree import (_ClassifyBuilder, _state_claims, _strictly_irreversible,
-                         check_reversible, classify)
+from ringca.tree import (ReversibilityReport, _ClassifyBuilder, _state_claims,
+                         _strictly_irreversible, check_reversible, classify)
 
-from conftest import DATA, PERMUTATION_RULES
+from conftest import (DATA, PERMUTATION_RULES, WRONG_AT_11, exact_sets, in_sizes,
+                      pair_graph_bijective)
 from test_tree_tables import ROWS
 
 GOLDEN = DATA / "classify_golden.json"
@@ -68,6 +70,23 @@ def checks():
     return rows
 
 
+def exact_mismatches(rule, report):
+    """The sizes n >= m at which ``report`` and the exact sets disagree.
+
+    Past mu + lam and past every start of the report (its offsets, its
+    ``irreversible_from`` and its exceptional sizes) both repeat with a
+    period that divides lcm(lam, the report's moduli), so one window of
+    that length past the largest of them decides every n.
+    """
+    mu, lam, _ = exact = exact_sets(rule)
+    top = max(mu + lam, report.irreversible_from or 0,
+              *(e.offset for e in report.expressions),
+              *(s + 1 for s in report.exceptional_sizes))
+    period = math.lcm(lam, *(e.modulus for e in report.expressions))
+    return [n for n in range(rule.m, top + period)
+            if report.irreversible_at(n) != in_sizes(exact, n)]
+
+
 def test_classify_matches_golden():
     expected = json.loads(GOLDEN.read_text())
     actual = reports()
@@ -98,6 +117,18 @@ def test_check_matches_golden():
     assert len(actual) == len(expected) == 200 * len(CHECK_SIZES)
     for got, want in zip(actual, expected):
         assert got == want, got[:4]
+    for d, m, text, n, reversible, *_ in expected:
+        assert pair_graph_bijective(parse_rule(text, d, m), n) == reversible, (text, n)
+
+
+def test_classify_golden_against_exact_sets():
+    # every golden report at every n >= m; the tree's one known wrong
+    # verdict among them is the only disagreement
+    mismatches = set()
+    for d, m, text, data in json.loads(GOLDEN.read_text()):
+        report = ReversibilityReport.from_dict(data)
+        mismatches |= {(text, n) for n in exact_mismatches(parse_rule(text, d, m), report)}
+    assert mismatches == {(WRONG_AT_11[0], 11)}
 
 
 if __name__ == "__main__":
